@@ -28,7 +28,7 @@
 //               Sternheimer iterations with FP64 residual replacement and
 //               an FP32 CheFSI filter workspace; agrees with fp64 to
 //               <= 1e-4 Ha/atom at the correlation energy
-//   SIMD        -1 inherit RSRPA_SIMD env (auto-on when compiled in),
+//   SIMD        -1 compiled default (vectorized rows when compiled in),
 //               0 scalar stencil rows, 1 vectorized rows — both paths
 //               are bitwise identical
 //

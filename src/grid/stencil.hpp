@@ -23,7 +23,7 @@
 //
 //  * apply_reference — the seed per-point wrap-table loop, kept as the
 //    correctness oracle, the A1 ablation baseline, and the
-//    RSRPA_FUSED_APPLY=0 escape hatch.
+//    set_fused_apply(false) escape hatch.
 //
 // Template methods cover both real grid functions (DFT, Poisson checks)
 // and complex ones (Sternheimer solves): the complex-shifted Hamiltonian
@@ -43,18 +43,12 @@
 
 namespace rsrpa::grid {
 
-/// Process-wide DEFAULTS for the fused-apply knobs, read from the
-/// environment at every call (never latched): RSRPA_FUSED_APPLY=0 selects
-/// the reference wrap-table path, RSRPA_TILE_Y / RSRPA_TILE_Z size the
-/// cache blocks, RSRPA_SIMD=0 selects the scalar interior-row kernels.
-/// Each StencilLaplacian samples these at construction and carries its
-/// own copies, so concurrent jobs in one process configure their
-/// operators independently via set_fused_apply / set_fused_tiles /
-/// set_simd.
-[[nodiscard]] bool default_fused_apply();
-[[nodiscard]] std::size_t default_fused_tile_y();
-[[nodiscard]] std::size_t default_fused_tile_z();
-[[nodiscard]] bool default_simd();
+/// Default cache-block extents of the fused sweep. Every StencilLaplacian
+/// starts fused, with these tiles and with the SIMD rows when compiled
+/// in; concurrent jobs in one process configure their operators
+/// independently via set_fused_apply / set_fused_tiles / set_simd.
+inline constexpr std::size_t kDefaultFusedTileY = 32;
+inline constexpr std::size_t kDefaultFusedTileZ = 16;
 
 /// Diagonal terms fused into a single stencil sweep:
 ///   out = alpha * Lap(in) + (beta * vdiag + shift) . in + eta * extra.
@@ -486,13 +480,12 @@ class StencilLaplacian {
   /// separable symbol. Used for Chebyshev bounds on H's spectrum.
   [[nodiscard]] double min_eigenvalue_bound() const;
 
-  /// Select the fused single-sweep path (default: the RSRPA_FUSED_APPLY
-  /// environment default sampled at construction).
+  /// Select the fused single-sweep path (default: on).
   void set_fused_apply(bool on) { fused_ = on; }
   [[nodiscard]] bool fused_apply() const { return fused_; }
 
   /// Cache-block extents of the fused sweep for THIS operator (defaults:
-  /// RSRPA_TILE_Y / RSRPA_TILE_Z sampled at construction). Tiling only
+  /// kDefaultFusedTileY / kDefaultFusedTileZ). Tiling only
   /// reorders the traversal — results are bitwise identical at any tile
   /// size — so two in-process jobs may tune them independently.
   void set_fused_tiles(std::size_t tile_y, std::size_t tile_z) {
@@ -515,9 +508,8 @@ class StencilLaplacian {
   }
 
   /// Select the vectorized interior-row kernels for THIS operator
-  /// (default: the RSRPA_SIMD environment default sampled at
-  /// construction). The scalar kernels remain the mandatory runtime
-  /// fallback — set_simd(false) or RSRPA_SIMD=0 — and are
+  /// (default: on when compiled in). The scalar kernels remain the
+  /// mandatory runtime fallback — set_simd(false) — and are
   /// bitwise-identical to the SIMD path. A no-op when the build has no
   /// SIMD kernels.
   void set_simd(bool on) { simd_ = on && simd_compiled(); }
@@ -525,8 +517,7 @@ class StencilLaplacian {
 
   /// out = Laplacian(in) for a single grid function. Dispatches to the
   /// fused interior/boundary sweep unless this instance selected the
-  /// reference path (set_fused_apply(false) or RSRPA_FUSED_APPLY=0 at
-  /// construction).
+  /// reference path (set_fused_apply(false)).
   template <typename T>
   void apply(std::span<const T> in, std::span<T> out) const {
     if (fused_) {
@@ -643,7 +634,7 @@ class StencilLaplacian {
   }
 
   /// The seed wrap-table loop — correctness oracle, A1 ablation baseline,
-  /// and RSRPA_FUSED_APPLY=0 path. Threaded over z chunks through the
+  /// and set_fused_apply(false) path. Threaded over z chunks through the
   /// sched pool (not OpenMP) so RSRPA_THREADS governs it.
   template <typename T>
   void apply_reference(std::span<const T> in, std::span<T> out) const {
@@ -773,10 +764,10 @@ class StencilLaplacian {
   // Per-instance apply tuning, sampled from the environment at
   // construction (process defaults) and overridable per operator so
   // concurrent in-process jobs never share these knobs.
-  bool fused_ = default_fused_apply();
-  std::size_t tile_y_ = default_fused_tile_y();
-  std::size_t tile_z_ = default_fused_tile_z();
-  bool simd_ = default_simd() && simd_compiled();
+  bool fused_ = true;
+  std::size_t tile_y_ = kDefaultFusedTileY;
+  std::size_t tile_z_ = kDefaultFusedTileZ;
+  bool simd_ = simd_compiled();
 };
 
 }  // namespace rsrpa::grid

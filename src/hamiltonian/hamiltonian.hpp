@@ -12,7 +12,7 @@
 // grid::StencilLaplacian::apply_fused, followed by a single gather-GEMM
 // nonlocal block update over all columns. The seed multi-sweep per-column
 // path is retained as the correctness oracle, selected by
-// set_fused_apply(false) or the RSRPA_FUSED_APPLY=0 environment knob.
+// set_fused_apply(false).
 #pragma once
 
 #include <complex>
@@ -49,10 +49,9 @@ class Hamiltonian {
   /// Replace the local potential (the SCF loop updates V_eff in place).
   void set_local_potential(std::vector<double> v);
 
-  /// Toggle the fused single-sweep path (default: on, unless
-  /// RSRPA_FUSED_APPLY=0 at construction). The reference path is the seed
-  /// multi-sweep schedule — kept selectable for equivalence tests and
-  /// ablations. Forwarded to the owned Laplacian so plain lap_.apply()
+  /// Toggle the fused single-sweep path (default: on). The reference path
+  /// is the seed multi-sweep schedule — kept selectable for equivalence
+  /// tests and ablations. Forwarded to the owned Laplacian so plain lap_.apply()
   /// users of this operator see the same schedule. Per instance, never
   /// process-global: two jobs in one process may disagree.
   void set_fused_apply(bool on) {
@@ -62,14 +61,14 @@ class Hamiltonian {
   [[nodiscard]] bool fused_apply() const { return fused_; }
 
   /// Cache-block extents of the fused sweep for this operator (defaults
-  /// RSRPA_TILE_Y / RSRPA_TILE_Z at construction; bitwise-neutral).
+  /// grid::kDefaultFusedTileY / kDefaultFusedTileZ; bitwise-neutral).
   void set_fused_tiles(std::size_t tile_y, std::size_t tile_z) {
     lap_.set_fused_tiles(tile_y, tile_z);
   }
 
-  /// Vectorized interior-row stencil kernels for this operator (default
-  /// RSRPA_SIMD at construction; bitwise-identical to the scalar
-  /// fallback; no-op when compiled without -DRSRPA_SIMD=ON).
+  /// Vectorized interior-row stencil kernels for this operator (default:
+  /// on when compiled in; bitwise-identical to the scalar fallback; no-op
+  /// when compiled without -DRSRPA_SIMD=ON).
   void set_simd(bool on) { lap_.set_simd(on); }
   [[nodiscard]] bool simd() const { return lap_.simd(); }
 
@@ -269,7 +268,7 @@ class Hamiltonian {
   // rebuilt whenever v_loc_ changes (refresh_bounds).
   std::vector<float> v_loc_f_;
   NonlocalProjectors nonlocal_;
-  bool fused_ = grid::default_fused_apply();
+  bool fused_ = true;
   double upper_bound_ = 0.0;
   double lower_bound_ = 0.0;
 };

@@ -3,7 +3,9 @@
 // A full E_RPA run is ell subspace iterations, each hiding thousands of
 // Sternheimer solves; PR 3's resilience ladder made individual solves
 // survivable, and this layer gives the same property to the run itself.
-// After every quadrature point the drivers persist a RunCheckpoint — the
+// After every quadrature point the Sternheimer quadrature engine
+// (rpa::run_quadrature, behind both compute_rpa_energy and
+// run_parallel_rpa) and the SLQ driver persist a RunCheckpoint — the
 // warm-start subspace V (the eigenvector chain of paper SS III-F, which
 // is exactly the state the next point needs), the partial E_RPA sum, the
 // completed OmegaRecords with their quarantine/degraded flags and matvec
@@ -57,10 +59,13 @@ struct RunCheckpoint {
   obs::EventLog events;           ///< RpaResult::events so far
   la::Matrix<double> v;           ///< warm-start subspace after the point
 
-  /// Parallel-driver extras (run_parallel_rpa). `parallel` guards against
-  /// resuming a serial checkpoint in the parallel driver or vice versa;
-  /// the rest keeps the modeled Fig. 5 breakdown continuous across the
-  /// restart (informational wall-clock, not part of the bitwise contract).
+  /// run_parallel_rpa extras. `parallel` guards against resuming a
+  /// compute_rpa_energy checkpoint through run_parallel_rpa or vice versa;
+  /// the rank vectors (the engine's per-slice seconds) and error_checks
+  /// keep the modeled Fig. 5 breakdown continuous across the restart
+  /// (informational wall-clock, not part of the bitwise contract).
+  /// matmult/eigensolve_seconds repeat the `timers` buckets of the same
+  /// name; the engine writes them and restores from `timers`.
   bool parallel = false;
   double matmult_seconds = 0.0;
   double eigensolve_seconds = 0.0;

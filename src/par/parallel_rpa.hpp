@@ -1,15 +1,18 @@
-// Simulated distributed execution of the RPA driver — the engine behind
-// Figs. 4, 5 and 6.
+// Simulated distributed execution of the RPA driver — the entry point
+// behind Figs. 4, 5 and 6.
 //
 // The paper's parallelization (SS III-D) assigns each of p ranks a block
 // of n_eig/p eigenvector columns; the Sternheimer stage is embarrassingly
 // parallel, while the projected matmults and the dense eigensolve run
-// under ScaLAPACK. The driver EXECUTES each rank's column slice as a real
-// concurrent task on the sched thread pool (one task per rank; serial in
-// submission order when RSRPA_THREADS=1) and TIMES each slice
-// individually — capturing the real load imbalance from linear-system
-// difficulty and from the s <= n_eig/p block-size cap — and then
-// assembles the parallel wall time per kernel:
+// under ScaLAPACK. run_parallel_rpa is the quadrature engine of
+// rpa/erpa.hpp (the same loop compute_rpa_energy runs at one slice)
+// at p = n_ranks column slices, with each rank's block size capped at
+// n_eig / p. The engine EXECUTES each slice as a real concurrent task on
+// the sched thread pool (serial in slice order when RSRPA_THREADS=1) and
+// TIMES each slice individually — capturing the real load imbalance from
+// linear-system difficulty and from the s <= n_eig/p block-size cap.
+// On top, this file keeps only the alpha-beta overlay that turns those
+// measurements into the parallel wall time per kernel:
 //
 //   nu_chi0     = max over ranks of measured slice time
 //   eval error  = max over ranks + modeled allreduce
@@ -50,7 +53,8 @@ struct ParallelRpaResult {
   rpa::RpaResult rpa;  ///< energy, per-omega records, Sternheimer stats
   std::size_t n_ranks = 1;
   /// Measured per-rank seconds spent applying the operator (filter +
-  /// Rayleigh-Ritz phase vs. convergence-check phase).
+  /// Rayleigh-Ritz phase vs. convergence-check phase; the latter includes
+  /// the rank's share of the Eq. (7) residual norms).
   std::vector<double> rank_apply_seconds;
   std::vector<double> rank_error_seconds;
   KernelBreakdown modeled;

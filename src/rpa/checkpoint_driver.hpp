@@ -1,14 +1,13 @@
-// Driver-side glue shared by compute_rpa_energy and run_parallel_rpa:
-// capture/restore of the per-run state a RunCheckpoint persists, the
-// checkpoint lifecycle events, and the warm-start decontamination step
-// (re-randomizing quarantined subspace columns before the next
-// quadrature point). Kept out of erpa.cpp so the serial and parallel
-// sweeps wire the exact same behavior — resume-equivalence bugs from
-// drifted copies are how runs stop being bitwise reproducible.
+// Checkpoint glue shared by the two quadrature loops: the Sternheimer
+// engine (rpa/erpa.cpp, behind both compute_rpa_energy and
+// run_parallel_rpa) and the SLQ driver. Both run the same post-write
+// lifecycle (checkpoint_written event, simulated-crash hook); the SLQ
+// driver's capture/restore of its RunCheckpoint state lives here too.
+// The engine's own snapshot and restore sit inside the engine, which
+// serves both Sternheimer entry points from one copy.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "io/checkpoint.hpp"
 #include "rpa/erpa.hpp"
@@ -16,45 +15,11 @@
 
 namespace rsrpa::rpa::detail {
 
-/// Sorted, deduplicated V-column indices quarantined since `idx_before`
-/// (a cursor into SternheimerStats::quarantined_column_indices taken at
-/// the start of the quadrature point).
-std::vector<long> quarantined_columns_since(const SternheimerStats& stern,
-                                            std::size_t idx_before);
-
-/// Warm-start hygiene: refill the quarantined columns of `v` from
-/// decorrelated Rng::derive streams keyed on (quadrature point, column) —
-/// never on the engine position or thread identity — and emit a
-/// warm_start_reseed event into the result log. Without this the chain
-/// of paper SS III-F carries initial-guess garbage from a degraded point
-/// into every omega downstream of it. No-op for empty `cols`.
-void reseed_quarantined_columns(la::Matrix<double>& v,
-                                const std::vector<long>& cols,
-                                const Rng& rng, int omega_index,
-                                obs::EventLog& events);
-
-/// Snapshot the driver state after `completed_points` quadrature points
-/// into a RunCheckpoint (the caller adds the parallel extras, if any).
-io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
-                                  int completed_points,
-                                  const RpaOptions& opts,
-                                  const RpaResult& result,
-                                  const la::Matrix<double>& v,
-                                  const Rng& rng);
-
-/// Restore a loaded checkpoint into the driver state; validates that the
-/// checkpoint came from the same driver flavor and sweep shape, emits
-/// run_resumed into the lifecycle sink, and returns the index of the
-/// first quadrature point still to run.
-int restore_checkpoint(io::RunCheckpoint&& ck, const RpaOptions& opts,
-                       bool parallel, RpaResult& result,
-                       la::Matrix<double>& v, Rng& rng);
-
 /// Post-write lifecycle: emit checkpoint_written into the sink and fire
 /// the simulated-crash test hook (throws RunHalted) when armed for `k`.
 void after_checkpoint_write(const CheckpointOptions& copts, int k);
 
-/// SLQ flavor of make_checkpoint: snapshot compute_rpa_energy_slq's state
+/// Snapshot compute_rpa_energy_slq's state
 /// after `completed_points` quadrature points. The stochastic driver has
 /// no subspace, so the container's V slot gets a 1x1 zero placeholder.
 io::RunCheckpoint make_slq_checkpoint(std::uint64_t fingerprint,
@@ -63,7 +28,7 @@ io::RunCheckpoint make_slq_checkpoint(std::uint64_t fingerprint,
                                       const SlqRpaResult& result,
                                       const Rng& rng);
 
-/// SLQ flavor of restore_checkpoint: rebuilds the partial sums, per-point
+/// Restore an SLQ checkpoint: rebuilds the partial sums, per-point
 /// records, matvec counter, and driver RNG; emits run_resumed into the
 /// lifecycle sink; returns the index of the first point still to run.
 int restore_slq_checkpoint(io::RunCheckpoint&& ck, const SlqRpaOptions& opts,

@@ -231,8 +231,28 @@ struct RpaResult {
   double total_seconds = 0.0;
 };
 
-/// Compute E_RPA for the given Kohn-Sham system. `klap` must discretize
-/// the same grid with the same stencil radius as the system Hamiltonian.
+/// What the quadrature engine hands back: the result plus the measured
+/// per-slice seconds the parallel overlay models from.
+struct QuadratureRun {
+  RpaResult rpa;
+  SliceTimes slices;
+};
+
+/// The quadrature engine (Algorithm 6): the per-point loop — static
+/// subspace freeze/elide/fallback, fault scoping, quarantine accounting
+/// and warm-start reseed, checkpoint write and restore, run control —
+/// over a SlicedApply of max(n_ranks, 1) column slices. `n_ranks` = 0 is
+/// compute_rpa_energy (one slice, fingerprint and checkpoint of the
+/// serial flavor); n_ranks >= 1 is run_parallel_rpa, whose checkpoints
+/// also carry the slice times. Slicing changes only how the Sternheimer
+/// solves are blocked: no block spans two slices.
+QuadratureRun run_quadrature(const dft::KsSystem& sys,
+                             const poisson::KroneckerLaplacian& klap,
+                             const RpaOptions& opts, std::size_t n_ranks);
+
+/// Compute E_RPA for the given Kohn-Sham system: the engine at one slice.
+/// `klap` must discretize the same grid with the same stencil radius as
+/// the system Hamiltonian.
 RpaResult compute_rpa_energy(const dft::KsSystem& sys,
                              const poisson::KroneckerLaplacian& klap,
                              const RpaOptions& opts);
@@ -253,8 +273,8 @@ double accumulate_trace_terms(const std::vector<double>& eigenvalues,
                               int omega_index, OmegaRecord& rec,
                               obs::EventLog* events);
 
-/// Resolve TOL_EIG for quadrature point `k` (shared by the serial and
-/// parallel drivers): an empty vector falls back to 5e-4, a vector
+/// Resolve TOL_EIG for quadrature point `k` (the quadrature engine's
+/// per-point tolerance): an empty vector falls back to 5e-4, a vector
 /// shorter than ell is padded with its last entry, and entries beyond
 /// ell are ignored — with a one-time tol_eig_truncated warning emitted
 /// into `events` the first call that sees the excess. `warned` (one bool

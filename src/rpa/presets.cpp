@@ -42,8 +42,8 @@ BuiltSystem build_system(const SystemPreset& preset, bool run_scf) {
   if (preset.simd >= 0) out.h->set_simd(preset.simd != 0);
   if (preset.tile_y > 0 || preset.tile_z > 0)
     out.h->set_fused_tiles(
-        preset.tile_y > 0 ? preset.tile_y : grid::default_fused_tile_y(),
-        preset.tile_z > 0 ? preset.tile_z : grid::default_fused_tile_z());
+        preset.tile_y > 0 ? preset.tile_y : grid::kDefaultFusedTileY,
+        preset.tile_z > 0 ? preset.tile_z : grid::kDefaultFusedTileZ);
   out.klap = std::make_shared<poisson::KroneckerLaplacian>(g, preset.fd_radius);
 
   Rng eig_rng(preset.seed + 1);

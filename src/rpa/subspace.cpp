@@ -1,15 +1,76 @@
 #include "rpa/subspace.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "la/blas.hpp"
 #include "la/eig.hpp"
 #include "la/qr.hpp"
 #include "obs/event_log.hpp"
+#include "par/partition.hpp"
 #include "sched/parallel_for.hpp"
+#include "sched/task_group.hpp"
 #include "solver/chebyshev.hpp"
 
 namespace rsrpa::rpa {
+
+SlicedApply::SlicedApply(const NuChi0Operator& op, std::size_t slices,
+                         SternheimerStats* stats, KernelTimers* timers,
+                         obs::EventLog* events)
+    : op_(op), stats_(stats), timers_(timers), events_(events) {
+  RSRPA_REQUIRE(slices >= 1);
+  times_.apply_seconds.assign(slices, 0.0);
+  times_.error_seconds.assign(slices, 0.0);
+}
+
+void SlicedApply::operator()(const la::Matrix<double>& in,
+                             la::Matrix<double>& out, Phase phase) {
+  std::vector<double>& bucket =
+      phase == kSubspace ? times_.apply_seconds : times_.error_seconds;
+  WallTimer wall;
+  // Narrower blocks (SSA residual augmentation) leave trailing slices idle.
+  const std::size_t p = std::min(bucket.size(), in.cols());
+  if (p == 1) {
+    op_.apply(in, out, omega_, stats_, nullptr, events_);
+    bucket[0] += wall.seconds();
+  } else {
+    const par::ColumnPartition part(in.cols(), p);
+    std::vector<SternheimerStats> slice_stats(p);
+    std::vector<obs::EventLog> slice_events(p);
+    std::vector<double> seconds(p, 0.0);
+    sched::TaskGroup group;
+    for (std::size_t r = 0; r < p; ++r)
+      group.run([&, r] {
+        WallTimer t;
+        const std::size_t j0 = part.begin(r), cnt = part.count(r);
+        const la::Matrix<double> slice = in.slice_cols(j0, cnt);
+        la::Matrix<double> oslice(in.rows(), cnt);
+        op_.apply(slice, oslice, omega_, &slice_stats[r], nullptr,
+                  &slice_events[r]);
+        out.set_cols(j0, oslice);
+        seconds[r] = t.seconds();
+      });
+    group.wait();
+    for (std::size_t r = 0; r < p; ++r) {
+      bucket[r] += seconds[r];
+      // Shift the slice's quarantined-column indices into the block frame.
+      if (stats_ != nullptr)
+        stats_->merge(slice_stats[r], static_cast<long>(part.begin(r)));
+      if (events_ != nullptr) events_->merge(slice_events[r]);
+    }
+  }
+  if (timers_ != nullptr)
+    timers_->add(phase == kSubspace ? kernels::kNuChi0 : kernels::kEvalError,
+                 wall.seconds());
+}
+
+void SlicedApply::charge_error_check(double norm_seconds) {
+  const double share =
+      norm_seconds / static_cast<double>(times_.error_seconds.size());
+  for (double& s : times_.error_seconds) s += share;
+  ++times_.error_checks;
+  if (timers_ != nullptr) timers_->add(kernels::kEvalError, norm_seconds);
+}
 
 namespace {
 
@@ -22,14 +83,11 @@ struct RrOutcome {
   bool collapsed = false;  ///< generalized eigensolve fell back to sym_eig
 };
 
-RrOutcome rayleigh_ritz_and_error(const NuChi0Operator& op, double omega,
-                                  la::Matrix<double>& v,
-                                  SternheimerStats* stats,
-                                  KernelTimers* timers,
-                                  obs::EventLog* events) {
+RrOutcome rayleigh_ritz_and_error(SlicedApply& apply, la::Matrix<double>& v) {
+  KernelTimers* timers = apply.timers();
   const std::size_t n = v.rows(), m = v.cols();
   la::Matrix<double> av(n, m);
-  op.apply(v, av, omega, stats, timers);
+  apply(v, av);
 
   la::Matrix<double> hs(m, m), ms(m, m);
   {
@@ -58,12 +116,13 @@ RrOutcome rayleigh_ritz_and_error(const NuChi0Operator& op, double omega,
       // Filtering collapsed the block numerically: orthonormalize and
       // re-project with M_s = I.
       collapsed = true;
-      if (events != nullptr)
-        events->emit(obs::events::kEigensolveCollapse, breakdown.what(),
-                     {{"omega", omega},
-                      {"subspace_dim", static_cast<double>(m)}});
+      if (apply.events() != nullptr)
+        apply.events()->emit(obs::events::kEigensolveCollapse,
+                             breakdown.what(),
+                             {{"omega", apply.omega()},
+                              {"subspace_dim", static_cast<double>(m)}});
       la::orthonormalize(v);
-      op.apply(v, av, omega, stats, timers);
+      apply(v, av);
       la::gemm_tn(1.0, v, av, 0.0, hs);
       sub = la::sym_eig(hs);
     }
@@ -83,49 +142,41 @@ RrOutcome rayleigh_ritz_and_error(const NuChi0Operator& op, double omega,
   RrOutcome out;
   out.values = sub.values;
   out.collapsed = collapsed;
-  {
-    WallTimer t;
-    op.apply(v, av, omega, stats, nullptr);  // time under eval_error
-    // Per-column residual norms fan out (disjoint slots); the final sum
-    // stays serial in ascending j so the error — and through it every
-    // filtering decision — is bitwise identical at any thread count.
-    std::vector<double> col_res(m, 0.0);
-    sched::parallel_for(
-        0, m, 4,
-        [&](std::size_t j) {
-          double r2 = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const double r = av(i, j) - sub.values[j] * v(i, j);
-            r2 += r * r;
-          }
-          col_res[j] = std::sqrt(r2);
-        });
-    double sum_res = 0.0, sum_d2 = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      sum_res += col_res[j];
-      sum_d2 += sub.values[j] * sub.values[j];
+  apply(v, av, SlicedApply::kError);
+  WallTimer t;
+  // Per-column residual norms fan out (disjoint slots); the final sum
+  // stays serial in ascending j so the error — and through it every
+  // filtering decision — is bitwise identical at any thread count.
+  std::vector<double> col_res(m, 0.0);
+  sched::parallel_for(0, m, 4, [&](std::size_t j) {
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double r = av(i, j) - sub.values[j] * v(i, j);
+      r2 += r * r;
     }
-    out.error = sum_res / (static_cast<double>(m) *
-                           std::max(std::sqrt(sum_d2), 1e-300));
-    if (timers != nullptr) timers->add(kernels::kEvalError, t.seconds());
+    col_res[j] = std::sqrt(r2);
+  });
+  double sum_res = 0.0, sum_d2 = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    sum_res += col_res[j];
+    sum_d2 += sub.values[j] * sub.values[j];
   }
+  out.error = sum_res / (static_cast<double>(m) *
+                         std::max(std::sqrt(sum_d2), 1e-300));
+  apply.charge_error_check(t.seconds());
   return out;
 }
 
 }  // namespace
 
-SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
-                                  la::Matrix<double>& v,
-                                  const SubspaceOptions& opts,
-                                  SternheimerStats* stats,
-                                  KernelTimers* timers,
-                                  obs::EventLog* events) {
-  RSRPA_REQUIRE(v.rows() == op.n_grid() && v.cols() >= 1);
+SubspaceResult subspace_iteration(SlicedApply& apply, la::Matrix<double>& v,
+                                  const SubspaceOptions& opts) {
+  RSRPA_REQUIRE(v.cols() >= 1);
   SubspaceResult res;
 
   // Lines 2-5 of Algorithm 5: Rayleigh-Ritz on the initial guess with NO
   // filtering; an accurate warm start exits here with ncheb = 0.
-  RrOutcome rr = rayleigh_ritz_and_error(op, omega, v, stats, timers, events);
+  RrOutcome rr = rayleigh_ritz_and_error(apply, v);
   res.eigenvalues = rr.values;
   res.error = rr.error;
   res.converged = rr.error <= opts.tol;
@@ -144,14 +195,13 @@ SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
     const double damp_lo = std::min(d_max, -1e-9 * span);
     const double a0 = std::min(d_min, damp_lo - 1e-6 * span);
 
-    solver::BlockOpR a_op = [&](const la::Matrix<double>& in,
-                                la::Matrix<double>& out) {
-      op.apply(in, out, omega, stats, timers);
-    };
-    solver::chebyshev_filter_op(a_op, v, opts.cheb_degree, damp_lo, damp_hi,
-                                a0);
+    solver::chebyshev_filter_op(
+        [&apply](const la::Matrix<double>& in, la::Matrix<double>& out) {
+          apply(in, out);
+        },
+        v, opts.cheb_degree, damp_lo, damp_hi, a0);
 
-    rr = rayleigh_ritz_and_error(op, omega, v, stats, timers, events);
+    rr = rayleigh_ritz_and_error(apply, v);
     res.eigenvalues = rr.values;
     res.error = rr.error;
     res.converged = rr.error <= opts.tol;
@@ -159,6 +209,18 @@ SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
     ++res.filter_iterations;
   }
   return res;
+}
+
+SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
+                                  la::Matrix<double>& v,
+                                  const SubspaceOptions& opts,
+                                  SternheimerStats* stats,
+                                  KernelTimers* timers,
+                                  obs::EventLog* events) {
+  RSRPA_REQUIRE(v.rows() == op.n_grid());
+  SlicedApply apply(op, 1, stats, timers, events);
+  apply.set_omega(omega);
+  return subspace_iteration(apply, v, opts);
 }
 
 }  // namespace rsrpa::rpa

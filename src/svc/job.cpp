@@ -47,8 +47,8 @@ JobSpec parse_job(const Config& cfg) {
   preset.fused_apply = cfg.get_int_or("FUSED_APPLY", -1);
   preset.tile_y = static_cast<std::size_t>(cfg.get_int_or("TILE_Y", 0));
   preset.tile_z = static_cast<std::size_t>(cfg.get_int_or("TILE_Z", 0));
-  // SIMD stencil rows follow the same inherit/override pattern; the
-  // RSRPA_SIMD env var is only the process default (see grid/stencil.hpp).
+  // SIMD stencil rows follow the same default/override pattern (see
+  // grid/stencil.hpp).
   preset.simd = cfg.get_int_or("SIMD", -1);
   // PRECISION governs the whole job: the CheFSI filter workspace (via the
   // preset) and the Sternheimer inner iterations (via stern.precision,

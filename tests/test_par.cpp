@@ -119,13 +119,46 @@ TEST_F(ParallelRpaTest, EnergyIndependentOfRankCount) {
               5e-3 * std::abs(r1.rpa.e_rpa));
 }
 
+// At one rank the parallel entry point is the serial engine plus the
+// modeled overlay: with fixed blocking (Algorithm 4 sizes blocks from
+// measured wall time) the two runs are bitwise equal, cold start included.
 TEST_F(ParallelRpaTest, MatchesSerialDriverEnergy) {
   auto& b = built();
+  for (bool warm_start : {true, false}) {
+    SCOPED_TRACE(warm_start ? "warm_start = true" : "warm_start = false");
+    ParallelRpaOptions opts = base_options();
+    opts.n_ranks = 1;
+    opts.rpa.stern.dynamic_block = false;
+    opts.rpa.warm_start = warm_start;
+    const ParallelRpaResult par = run_parallel_rpa(b.ks, *b.klap, opts);
+    const rpa::RpaResult ser = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa);
+    EXPECT_EQ(std::memcmp(&par.rpa.e_rpa, &ser.e_rpa, sizeof(double)), 0)
+        << par.rpa.e_rpa << " vs " << ser.e_rpa;
+    ASSERT_EQ(par.rpa.per_omega.size(), ser.per_omega.size());
+    for (std::size_t k = 0; k < ser.per_omega.size(); ++k)
+      EXPECT_EQ(par.rpa.per_omega[k].eigenvalues, ser.per_omega[k].eigenvalues)
+          << "point " << k;
+  }
+}
+
+// Per-point Sternheimer traffic is the delta of the run totals, so the
+// per-point records add up to the totals in both entry points.
+TEST_F(ParallelRpaTest, PerPointMatvecCountersAddUpToRunTotals) {
+  auto& b = built();
   ParallelRpaOptions opts = base_options();
-  opts.n_ranks = 1;
-  ParallelRpaResult par = run_parallel_rpa(b.ks, *b.klap, opts);
-  rpa::RpaResult ser = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa);
-  EXPECT_NEAR(par.rpa.e_rpa, ser.e_rpa, 5e-3 * std::abs(ser.e_rpa));
+  opts.n_ranks = 2;
+  const ParallelRpaResult par = run_parallel_rpa(b.ks, *b.klap, opts);
+  const rpa::RpaResult ser = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa);
+  for (const rpa::RpaResult* r : {&par.rpa, &ser}) {
+    double bytes = 0.0, flops = 0.0;
+    for (const rpa::OmegaRecord& rec : r->per_omega) {
+      EXPECT_GT(rec.matvec_bytes, 0.0);
+      bytes += rec.matvec_bytes;
+      flops += rec.matvec_flops;
+    }
+    EXPECT_EQ(bytes, r->stern.matvec_bytes);
+    EXPECT_EQ(flops, r->stern.matvec_flops);
+  }
 }
 
 TEST_F(ParallelRpaTest, RecordsPerRankTimings) {

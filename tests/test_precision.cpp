@@ -30,6 +30,7 @@
 #include "io/checkpoint.hpp"
 #include "la/blas.hpp"
 #include "obs/event_log.hpp"
+#include "par/parallel_rpa.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/erpa_slq.hpp"
 #include "rpa/presets.hpp"
@@ -572,20 +573,28 @@ TEST_F(PrecisionCheckpointTest, FingerprintSeparatesPrecisionPolicies) {
 
 TEST_F(PrecisionCheckpointTest, ClampNoticeEmittedOnceWhenTolBelowF32Reach) {
   auto& b = built();
-  rpa::RpaOptions opts = mixed_options();
-  opts.ell = 1;
-  opts.tol_eig = {4e-3};
-  opts.stern.tol = 1e-5;  // below sqrt(eps_f32) ~ 3.4e-4
-  const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
-  EXPECT_EQ(r.events.count(obs::events::kPrecisionClamped), 1u);
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "run_parallel_rpa" : "compute_rpa_energy");
+    const auto run = [&](const rpa::RpaOptions& o) {
+      if (!parallel) return rpa::compute_rpa_energy(b.ks, *b.klap, o);
+      par::ParallelRpaOptions popts;
+      popts.rpa = o;
+      popts.n_ranks = 2;
+      return par::run_parallel_rpa(b.ks, *b.klap, popts).rpa;
+    };
+    rpa::RpaOptions opts = mixed_options();
+    opts.ell = 1;
+    opts.tol_eig = {4e-3};
+    opts.stern.tol = 1e-5;  // below sqrt(eps_f32) ~ 3.4e-4
+    EXPECT_EQ(run(opts).events.count(obs::events::kPrecisionClamped), 1u);
 
-  // fp64 runs never clamp; neither do mixed runs whose tolerance is
-  // within single-precision reach.
-  rpa::RpaOptions loose = mixed_options();
-  loose.ell = 1;
-  loose.tol_eig = {4e-3};
-  const rpa::RpaResult r2 = rpa::compute_rpa_energy(b.ks, *b.klap, loose);
-  EXPECT_EQ(r2.events.count(obs::events::kPrecisionClamped), 0u);
+    // fp64 runs never clamp; neither do mixed runs whose tolerance is
+    // within single-precision reach.
+    rpa::RpaOptions loose = mixed_options();
+    loose.ell = 1;
+    loose.tol_eig = {4e-3};
+    EXPECT_EQ(run(loose).events.count(obs::events::kPrecisionClamped), 0u);
+  }
 }
 
 }  // namespace

@@ -82,11 +82,10 @@
 // isdf the keys are accepted but ignored (a warning is printed) and an
 // interrupted run restarts from scratch.
 //
-// The key -> options mapping lives in svc::parse_job and the METHOD
-// dispatch in svc::run_driver — both shared with the rpaserved job
-// daemon, so a config means the same thing standalone or submitted to a
-// server. Besides <name>.out, every run writes the backend's structured
-// run report to <name>.report.json (schema: docs/REPRODUCING.md).
+// The key -> options mapping lives in app::parse_job and the METHOD
+// dispatch in app::run_driver. Unknown keys are ignored. Besides
+// <name>.out, every run writes the backend's structured run report to
+// <name>.report.json (schema: docs/REPRODUCING.md).
 //
 // SIGINT/SIGTERM request cooperative cancellation: the run stops at the
 // next quadrature-point boundary (where the previous point's checkpoint,
@@ -100,11 +99,11 @@
 #include <sstream>
 #include <string>
 
+#include "app/driver.hpp"
+#include "app/job.hpp"
 #include "common/config.hpp"
 #include "obs/event_log.hpp"
 #include "obs/run_report.hpp"
-#include "svc/driver.hpp"
-#include "svc/job.hpp"
 
 namespace {
 
@@ -143,10 +142,10 @@ int main(int argc, char** argv) {
   }
 
   Config cfg;
-  svc::JobSpec spec;
+  app::JobSpec spec;
   try {
     cfg = Config::parse_file(name + ".rpa");
-    spec = svc::parse_job(cfg);
+    spec = app::parse_job(cfg);
   } catch (const Error& e) {
     std::fprintf(stderr, "rpacalc: %s\n", e.what());
     return 2;
@@ -165,15 +164,15 @@ int main(int argc, char** argv) {
   obs::EventLog ck_events;
   if (checkpoint_path.empty()) checkpoint_path = spec.checkpoint;
   if (!resume_flag_set) resume = spec.resume;
-  if (!checkpoint_path.empty() && spec.method != svc::Method::kSternheimer &&
-      spec.method != svc::Method::kSlq) {
+  if (!checkpoint_path.empty() && spec.method != app::Method::kSternheimer &&
+      spec.method != app::Method::kSlq) {
     // The Sternheimer and SLQ drivers have resumable per-point state;
     // direct and isdf recompute from scratch, so a checkpoint would be
     // dead weight. Accept the config but say so.
     std::fprintf(stderr,
                  "rpacalc: warning: METHOD %s does not checkpoint; "
                  "ignoring %s\n",
-                 svc::method_name(spec.method), checkpoint_path.c_str());
+                 app::method_name(spec.method), checkpoint_path.c_str());
     checkpoint_path.clear();
   }
   if (!checkpoint_path.empty()) {
@@ -192,9 +191,9 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  svc::DriverRun run;
+  app::DriverRun run;
   try {
-    run = svc::run_driver(spec, sys, opts, &g_control);
+    run = app::run_driver(spec, sys, opts);
   } catch (const rpa::RunCancelled&) {
     if (!checkpoint_path.empty()) {
       std::size_t written = ck_events.count(obs::events::kCheckpointWritten);
@@ -240,9 +239,9 @@ int main(int argc, char** argv) {
   } else {
     // The other backends have no filter/residual columns; print the
     // backend-agnostic row (the extras live in <name>.report.json).
-    out << "method: " << svc::method_name(run.method) << "\n";
+    out << "method: " << app::method_name(run.method) << "\n";
     for (std::size_t k = 0; k < run.per_omega.size(); ++k) {
-      const svc::DriverOmegaRow& r = run.per_omega[k];
+      const app::DriverOmegaRow& r = run.per_omega[k];
       std::snprintf(line, sizeof line,
                     "omega %zu (value %.3f, weight %.3f)\n"
                     "ErpaTerm %.5E Ha | %.2f s\n",
@@ -272,11 +271,11 @@ int main(int argc, char** argv) {
   std::printf("rpacalc: wrote %s.out\n", name.c_str());
 
   // The machine-readable counterpart: the backend's full run report under
-  // its method-name key, same layout the job service persists.
+  // its method-name key.
   try {
     obs::RunReport report(name);
-    report.set("method", obs::Json(svc::method_name(run.method)));
-    report.set(svc::method_name(run.method), run.report);
+    report.set("method", obs::Json(app::method_name(run.method)));
+    report.set(app::method_name(run.method), run.report);
     report.write(name + ".report.json");
     std::printf("rpacalc: wrote %s.report.json\n", name.c_str());
   } catch (const Error& e) {

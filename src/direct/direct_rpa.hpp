@@ -26,8 +26,8 @@ struct DirectRpaResult {
 /// nu chi0 spectrum per omega (Fig. 1 data). `n_keep` truncates the trace
 /// to the n_keep most negative eigenvalues per point (0 = full trace) —
 /// the apples-to-apples comparison against the subspace drivers at the
-/// same N_NUCHI_EIGS. `control` is the standard cooperative cancel/
-/// preempt hook, polled at quadrature-point boundaries.
+/// same N_NUCHI_EIGS. `control` is the standard cooperative cancel
+/// hook, polled at quadrature-point boundaries.
 DirectRpaResult compute_direct_rpa(const ham::Hamiltonian& h,
                                    std::size_t n_occ,
                                    const poisson::KroneckerLaplacian& klap,

@@ -47,7 +47,7 @@ struct IsdfRpaOptions {
   /// smallest quadrature omega, where the response is strongest.
   double omega_ref = 0.0;
   std::uint64_t seed = 0x15df5eedULL;
-  /// Cooperative cancel/preempt, polled at quadrature-point boundaries
+  /// Cooperative cancel, polled at quadrature-point boundaries
   /// like the other drivers. Not owned.
   rpa::RunControl* control = nullptr;
 };

@@ -34,58 +34,35 @@ struct RunCancelled : Error {
   using Error::Error;
 };
 
-/// Thrown at a quadrature-point boundary when RunControl::request_preempt
-/// was seen: the suspend half of checkpoint-based preemption. The job
-/// service resumes the run later from its per-point checkpoint; resumed
-/// runs are bitwise identical to uninterrupted ones (PR 5 contract).
-struct RunPreempted : Error {
-  using Error::Error;
-};
-
-/// Cooperative run control, polled by both drivers at quadrature-point
+/// Cooperative cancellation, polled by every driver at quadrature-point
 /// boundaries — the only places the run state is a small consistent cut
-/// (and where a checkpoint has just been written). Requests are sticky
-/// until reset; a cancel is never downgraded to a preempt. request_cancel
-/// is async-signal-safe (one lock-free atomic store), so rpacalc calls it
-/// straight from its SIGINT/SIGTERM handler.
+/// (and where a checkpoint has just been written). A cancel is sticky
+/// until reset(). request_cancel is async-signal-safe (one lock-free
+/// atomic store), so rpacalc calls it straight from its SIGINT/SIGTERM
+/// handler.
 class RunControl {
  public:
-  enum Request : int { kNone = 0, kPreempt = 1, kCancel = 2 };
-
   void request_cancel() {
-    request_.store(kCancel, std::memory_order_release);
+    cancelled_.store(true, std::memory_order_release);
   }
-  /// No-op when a cancel is already pending (cancel outranks preempt).
-  void request_preempt() {
-    int expected = kNone;
-    request_.compare_exchange_strong(expected, kPreempt,
-                                     std::memory_order_acq_rel);
+  [[nodiscard]] bool cancelled() const {
+    return cancelled_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] Request pending() const {
-    return static_cast<Request>(request_.load(std::memory_order_acquire));
-  }
-  void reset() { request_.store(kNone, std::memory_order_release); }
+  void reset() { cancelled_.store(false, std::memory_order_release); }
 
  private:
-  static_assert(std::atomic<int>::is_always_lock_free,
+  static_assert(std::atomic<bool>::is_always_lock_free,
                 "RunControl must stay signal-safe");
-  std::atomic<int> request_{kNone};
+  std::atomic<bool> cancelled_{false};
 };
 
-/// The drivers' boundary poll: throw the matching control exception, or
-/// return immediately when `control` is null / nothing is pending. Called
-/// at the top of each quadrature-point iteration, so the previous point's
-/// checkpoint (when enabled) is already on disk when this fires.
+/// The drivers' boundary poll: throw RunCancelled, or return immediately
+/// when `control` is null / no cancel is pending. Called at the top of
+/// each quadrature-point iteration, so the previous point's checkpoint
+/// (when enabled) is already on disk when this fires.
 inline void check_run_control(const RunControl* control) {
-  if (control == nullptr) return;
-  switch (control->pending()) {
-    case RunControl::kCancel:
-      throw RunCancelled("run cancelled at quadrature-point boundary");
-    case RunControl::kPreempt:
-      throw RunPreempted("run preempted at quadrature-point boundary");
-    case RunControl::kNone:
-      break;
-  }
+  if (control != nullptr && control->cancelled())
+    throw RunCancelled("run cancelled at quadrature-point boundary");
 }
 
 /// Run-granularity crash recovery (io/checkpoint.hpp). With `path` set,
@@ -169,10 +146,10 @@ struct RpaOptions {
   /// from the config fingerprint: where a run checkpoints (and whether
   /// it resumes) is process policy, not part of the computation.
   CheckpointOptions checkpoint;
-  /// Cooperative cancel/preempt, polled at the top of every quadrature
-  /// point (after the previous point's checkpoint hit disk). Like
-  /// `checkpoint`, process policy — excluded from the fingerprint. Not
-  /// owned; may be shared with a signal handler or the job service.
+  /// Cooperative cancel, polled at the top of every quadrature point
+  /// (after the previous point's checkpoint hit disk). Like `checkpoint`,
+  /// process policy — excluded from the fingerprint. Not owned; may be
+  /// shared with a signal handler.
   RunControl* control = nullptr;
 };
 

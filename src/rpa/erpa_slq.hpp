@@ -36,7 +36,7 @@ struct SlqRpaOptions {
   /// Per-quadrature-point crash-safe checkpointing, same container and
   /// lifecycle as the Sternheimer drivers (io/checkpoint.hpp).
   CheckpointOptions checkpoint;
-  /// Cooperative cancel/preempt, polled at quadrature-point boundaries
+  /// Cooperative cancel, polled at quadrature-point boundaries
   /// like the other drivers. Not owned.
   RunControl* control = nullptr;
 };

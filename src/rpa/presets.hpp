@@ -42,7 +42,7 @@ struct SystemPreset {
   int simd = -1;
   /// Precision policy for the ground-state CheFSI filter workspace. The
   /// Sternheimer precision is carried separately in SternheimerOptions;
-  /// svc::run_job sets both from the one PRECISION config key.
+  /// app::parse_job sets both from the one PRECISION config key.
   common::Precision precision = common::Precision::kFp64;
 
   [[nodiscard]] std::size_t n_atoms() const {

@@ -32,14 +32,6 @@ void parallel_for_range(std::size_t begin, std::size_t end, std::size_t grain,
                         Body&& body, ThreadPool& pool = global_pool()) {
   if (end <= begin) return;
   grain = std::max<std::size_t>(grain, 1);
-  // Task quota (thread_pool.hpp): fork at most `quota` chunk tasks by
-  // enlarging the grain. Bitwise-safe under the parallel_for contract —
-  // chunk boundaries never change what any single index computes, only
-  // how indices are grouped into tasks.
-  if (const int quota = current_task_quota(); quota > 0) {
-    const std::size_t cap = static_cast<std::size_t>(quota);
-    grain = std::max(grain, (end - begin + cap - 1) / cap);
-  }
   if (pool.serial() || end - begin <= grain) {
     body(begin, end);
     return;

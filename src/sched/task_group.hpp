@@ -34,17 +34,10 @@ namespace rsrpa::sched {
 
 class TaskGroup {
  public:
-  /// The group inherits the calling thread's task quota (see
-  /// TaskQuotaScope): its tasks re-install that quota on whatever lane
-  /// runs them, so parallel regions nested inside the tasks stay capped.
-  explicit TaskGroup(ThreadPool& pool = global_pool())
-      : pool_(pool), quota_(current_task_quota()) {}
+  explicit TaskGroup(ThreadPool& pool = global_pool()) : pool_(pool) {}
   ~TaskGroup();
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Fan-out cap inherited at construction; 0 = unlimited.
-  [[nodiscard]] int quota() const { return quota_; }
 
   /// Fork `f` into the group. `f` must stay valid until wait() returns
   /// (capture by reference only objects that outlive the group).
@@ -75,7 +68,6 @@ class TaskGroup {
   void finish_one();
 
   ThreadPool& pool_;
-  int quota_ = 0;
   std::atomic<long> pending_{0};
   std::mutex mu_;
   std::condition_variable done_cv_;

@@ -18,21 +18,7 @@ namespace {
 thread_local const ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_lane = 0;
 
-// Per-thread task quota (see thread_pool.hpp, "task quotas"). Set by
-// TaskQuotaScope on job-runner threads and re-installed around each task
-// by TaskGroup::run_task so nested parallel regions inherit it on
-// whichever lane executes them.
-thread_local int tls_quota = 0;
-
 }  // namespace
-
-int current_task_quota() { return tls_quota; }
-
-TaskQuotaScope::TaskQuotaScope(int quota) : prev_(tls_quota) {
-  tls_quota = quota > 0 ? quota : 0;
-}
-
-TaskQuotaScope::~TaskQuotaScope() { tls_quota = prev_; }
 
 int parse_threads(const char* spec) {
   if (spec == nullptr || *spec == '\0') return 0;
@@ -242,17 +228,11 @@ void TaskGroup::wait() {
 }
 
 void TaskGroup::run_task(std::function<void()>& fn) noexcept {
-  // Install the group's quota for the duration of the task: the lane may
-  // belong to a different (or no) quota'd region, and nested parallel
-  // loops inside fn must see the quota of the region that forked them.
-  const int saved_quota = tls_quota;
-  tls_quota = quota_;
   try {
     fn();
   } catch (...) {
     record_error(std::current_exception());
   }
-  tls_quota = saved_quota;
   finish_one();
 }
 

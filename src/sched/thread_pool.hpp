@@ -53,43 +53,6 @@ int resolve_threads(const SchedOptions& opts);
 
 class TaskGroup;
 
-// ----------------------------- task quotas -----------------------------
-//
-// A task quota caps how many tasks a single parallel region may fork onto
-// the shared pool, so one caller (a quota'd service job) cannot fan out
-// over every lane while other callers wait. The quota is a thread-local
-// value inherited by every TaskGroup built on the thread and re-installed
-// on whichever worker thread runs the group's tasks — so nested parallel
-// loops inside a quota'd region are capped too, no matter which lane they
-// execute on. 0 means unlimited (the default).
-//
-// parallel_for_range honors the quota by enlarging its grain until at most
-// `quota` chunk tasks are forked. That is bitwise-safe: the contract of
-// parallel_for already requires each index to perform the same FP work
-// regardless of chunking, and parallel_reduce's combine tree depends only
-// on (range, grain) of the REDUCTION, never on how the chunk-index loop
-// underneath is grouped into tasks. The cap is per parallel region, not a
-// hard global thread count: independent nested regions of one job can
-// momentarily overlap, but the fan-out of each is bounded.
-
-/// Task quota of the current thread (inherited by new TaskGroups).
-/// 0 = unlimited.
-[[nodiscard]] int current_task_quota();
-
-/// RAII quota installer for the calling thread: parallel regions entered
-/// while the scope is alive fork at most `quota` tasks each (0 restores
-/// unlimited). Service job runners wrap each job in one of these.
-class TaskQuotaScope {
- public:
-  explicit TaskQuotaScope(int quota);
-  ~TaskQuotaScope();
-  TaskQuotaScope(const TaskQuotaScope&) = delete;
-  TaskQuotaScope& operator=(const TaskQuotaScope&) = delete;
-
- private:
-  int prev_ = 0;
-};
-
 class ThreadPool {
  public:
   /// `threads` as in SchedOptions (0 = auto-resolve).
@@ -170,9 +133,7 @@ class ThreadPool {
 /// and its size is then fixed for the pool's lifetime. Later changes to
 /// the environment have no effect; the only way to resize is
 /// set_global_threads(), which is safe ONLY while no other thread is
-/// using the pool (startup, single-threaded tests). Multi-tenant callers
-/// therefore never resize the pool per job — they bound each job's share
-/// of it with a TaskQuotaScope instead.
+/// using the pool (startup, single-threaded tests).
 ThreadPool& global_pool();
 
 /// Replace the global pool with one of `threads` lanes (0 = auto).

@@ -226,5 +226,49 @@ TEST(StencilLaplacian, RadiusLargerThanGridStillPeriodic) {
   for (double x : lv) EXPECT_NEAR(x, 0.0, 1e-9);
 }
 
+// Per-instance stencil apply configuration: two operators in one process
+// keep their own fused/tile settings (no process-wide latch). The suite
+// keeps its historical SvcStencil name.
+
+TEST(SvcStencil, TwoInstancesDisagreeInOneProcess) {
+  const Grid3D g(7, 7, 7, 1.0, 1.0, 1.0);
+  StencilLaplacian fused(g, 3);
+  StencilLaplacian reference(g, 3);
+  fused.set_fused_apply(true);
+  reference.set_fused_apply(false);
+  // The bug this guards against: the first instance's configuration
+  // getting latched process-wide in function-local statics.
+  EXPECT_TRUE(fused.fused_apply());
+  EXPECT_FALSE(reference.fused_apply());
+
+  std::vector<double> x(g.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::sin(0.37 * static_cast<double>(i));
+  std::vector<double> y_fused(g.size()), y_ref(g.size()), y_oracle(g.size());
+  fused.apply<double>(x, y_fused);
+  reference.apply<double>(x, y_ref);
+  reference.apply_reference<double>(x, y_oracle);
+  EXPECT_EQ(y_ref, y_oracle);  // reference instance really runs reference
+  for (std::size_t i = 0; i < g.size(); ++i)
+    EXPECT_NEAR(y_fused[i], y_oracle[i], 1e-12 * (1.0 + std::abs(y_oracle[i])));
+}
+
+TEST(SvcStencil, PerInstanceTilesAreBitwiseNeutral) {
+  const Grid3D g(9, 9, 9, 1.0, 1.0, 1.0);
+  StencilLaplacian a(g, 3);
+  StencilLaplacian b(g, 3);
+  a.set_fused_tiles(32, 16);
+  b.set_fused_tiles(3, 2);
+  EXPECT_EQ(b.tile_y(), 3u);
+  EXPECT_EQ(b.tile_z(), 2u);
+  std::vector<double> x(g.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::cos(0.13 * static_cast<double>(i));
+  std::vector<double> ya(g.size()), yb(g.size());
+  a.apply<double>(x, ya);
+  b.apply<double>(x, yb);
+  EXPECT_EQ(ya, yb);  // tiling is a traversal order change only
+}
+
 }  // namespace
 }  // namespace rsrpa::grid

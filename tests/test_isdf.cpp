@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "app/driver.hpp"
+#include "app/job.hpp"
 #include "common/config.hpp"
 #include "direct/direct_rpa.hpp"
 #include "direct/dense.hpp"
@@ -19,8 +21,6 @@
 #include "obs/run_report.hpp"
 #include "rpa/presets.hpp"
 #include "sched/thread_pool.hpp"
-#include "svc/driver.hpp"
-#include "svc/job.hpp"
 
 namespace rsrpa {
 namespace {
@@ -213,18 +213,18 @@ TEST(CrossDriver, ResultInvariantsHoldForAllFourMethods) {
     cfg += "METHOD: ";
     cfg += m;
     cfg += "\n";
-    const svc::JobSpec spec = svc::parse_job(Config::parse(cfg));
+    const app::JobSpec spec = app::parse_job(Config::parse(cfg));
     rpa::BuiltSystem sys = rpa::build_system(spec.preset);
-    svc::DriverRun run = svc::run_driver(spec, sys, spec.options, nullptr);
+    app::DriverRun run = app::run_driver(spec, sys, spec.options);
 
-    EXPECT_EQ(run.method, svc::method_from_string(m));
+    EXPECT_EQ(run.method, app::method_from_string(m));
     EXPECT_TRUE(std::isfinite(run.e_rpa));
     EXPECT_LT(run.e_rpa, 0.0);  // correlation energy is negative
     const double n_atoms = static_cast<double>(spec.preset.n_atoms());
     EXPECT_NEAR(run.e_rpa_per_atom * n_atoms, run.e_rpa,
                 1e-12 * std::abs(run.e_rpa));
     EXPECT_EQ(run.per_omega.size(), 2u);
-    for (const svc::DriverOmegaRow& row : run.per_omega) {
+    for (const app::DriverOmegaRow& row : run.per_omega) {
       EXPECT_GT(row.omega, 0.0);
       EXPECT_TRUE(std::isfinite(row.e_term));
     }

@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "app/driver.hpp"
+#include "app/job.hpp"
 #include "common/precision.hpp"
 #include "common/rng.hpp"
 #include "dft/chefsi.hpp"
@@ -39,8 +41,6 @@
 #include "solver/chebyshev.hpp"
 #include "solver/mixed.hpp"
 #include "solver/operator.hpp"
-#include "svc/driver.hpp"
-#include "svc/job.hpp"
 
 namespace rsrpa {
 namespace {
@@ -451,10 +451,10 @@ std::string tiny_cfg(const char* method, const char* precision) {
 }
 
 double run_tiny(const char* method, const char* precision) {
-  const svc::JobSpec spec =
-      svc::parse_job(Config::parse(tiny_cfg(method, precision)));
+  const app::JobSpec spec =
+      app::parse_job(Config::parse(tiny_cfg(method, precision)));
   rpa::BuiltSystem sys = rpa::build_system(spec.preset);
-  const svc::DriverRun run = svc::run_driver(spec, sys, spec.options, nullptr);
+  const app::DriverRun run = app::run_driver(spec, sys, spec.options);
   EXPECT_TRUE(std::isfinite(run.e_rpa_per_atom));
   return run.e_rpa_per_atom;
 }
@@ -469,21 +469,21 @@ TEST(PrecisionContract, AllFourBackendsMixedMatchesFp64) {
 }
 
 TEST(PrecisionContract, ParseJobRoutesPrecisionEverywhere) {
-  const svc::JobSpec spec =
-      svc::parse_job(Config::parse(tiny_cfg("sternheimer", "mixed")));
+  const app::JobSpec spec =
+      app::parse_job(Config::parse(tiny_cfg("sternheimer", "mixed")));
   EXPECT_EQ(spec.preset.precision, Precision::kMixed);
   EXPECT_EQ(spec.options.stern.precision, Precision::kMixed);
   EXPECT_EQ(spec.slq.stern.precision, Precision::kMixed);
 
-  const svc::JobSpec def =
-      svc::parse_job(Config::parse(tiny_cfg("sternheimer", "fp64")));
+  const app::JobSpec def =
+      app::parse_job(Config::parse(tiny_cfg("sternheimer", "fp64")));
   EXPECT_EQ(def.options.stern.precision, Precision::kFp64);
-  EXPECT_THROW(svc::parse_job(Config::parse(tiny_cfg("sternheimer", "fp16"))),
+  EXPECT_THROW(app::parse_job(Config::parse(tiny_cfg("sternheimer", "fp16"))),
                std::invalid_argument);
 
   // SIMD follows the inherit/override preset pattern.
   EXPECT_EQ(spec.preset.simd, -1);
-  const svc::JobSpec simd_off = svc::parse_job(
+  const app::JobSpec simd_off = app::parse_job(
       Config::parse(tiny_cfg("sternheimer", "fp64") + "SIMD: 0\n"));
   EXPECT_EQ(simd_off.preset.simd, 0);
 }

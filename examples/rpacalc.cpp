@@ -41,7 +41,9 @@
 //   FAULT_MODE         none|nan|perturb|zero            (default none)
 //   FAULT_AT_APPLY     apply index of the first fault   (default 1)
 //   FAULT_PERIOD       refire period; 0 = fire once     (default 0)
-//   FAULT_MAX          total fault budget per orbital   (default 1)
+//   FAULT_MAX          fault budget                     (default 1)
+//                      (all three count within one Sternheimer chunk
+//                      solve: every chunk gets its own fault schedule)
 //   FAULT_MAGNITUDE    perturbation scale               (default 1e-2)
 //   FAULT_ORBITAL      occupied orbital to hit; -1 = all
 //   FAULT_OMEGA        quadrature point to hit; -1 = all

@@ -37,9 +37,11 @@ struct SternheimerOptions {
   solver::ResilienceOptions resilience;
   /// Deterministic fault injection into the Sternheimer operator (tests /
   /// chaos drills). mode = kNone leaves the operator unwrapped; otherwise
-  /// a FaultInjectingOp is installed per occupied orbital, seeded from
-  /// fault.seed and the orbital index so results are bitwise reproducible
-  /// at any thread count.
+  /// every chunk solve of the targeted orbitals installs its own
+  /// FaultInjectingOp (DynamicBlockOptions::fault), seeded from fault.seed,
+  /// the orbital index and the chunk's first column, so at_apply / period
+  /// / max_faults count within one chunk solve and results are bitwise
+  /// reproducible at any thread count.
   solver::FaultInjectionOptions fault;
   /// Stagnation detection handed to the solvers: breakdown when the
   /// residual fails to improve over this many iterations (0 = off).
@@ -70,6 +72,8 @@ struct SternheimerStats {
   /// point: matvec_flops / matvec_bytes.
   double matvec_bytes = 0.0;
   double matvec_flops = 0.0;
+  /// Chunk solve times summed over chunks. The chunks after Algorithm 4's
+  /// probe run concurrently, so this is work, not wall time.
   double seconds = 0.0;
   bool all_converged = true;
   // Recovery-ladder totals (solver/resilience.hpp).

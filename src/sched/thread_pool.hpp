@@ -1,8 +1,9 @@
 // Fixed-size thread pool with per-worker work-stealing deques — the
 // execution substrate behind sched::TaskGroup / parallel_for /
 // parallel_reduce and, through them, the concurrent stages of the RPA
-// drivers (rpa::SlicedApply column slices, rpa/chi0 RHS blocks, la/blas
-// tiled GEMM).
+// drivers (rpa::SlicedApply column slices, the independent Sternheimer
+// chunk solves of solver::solve_dynamic_block, rpa/chi0 RHS blocks,
+// la/blas tiled GEMM).
 //
 // Lane model: a pool configured for `threads` lanes spawns `threads - 1`
 // worker threads; the caller thread is the last lane and participates by

@@ -9,6 +9,14 @@
 // probe finds the break-even point online, per (j, k) pair, without any
 // a-priori model (paper SS III-E).
 //
+// Every chunk is an independent block Sternheimer system (paper SS III-D),
+// so the chunks after the probe — every chunk of a fixed-block run — are
+// solved concurrently on the global pool, one task per chunk. Each chunk
+// fills its own record, totals and event log, and these fold into the
+// report in chunk order after the join, so the report, the quarantine
+// list and the events are identical at every lane count. The probe itself
+// stays serial: it times single chunks.
+//
 // The per-chunk records are what the Table IV bench histograms.
 #pragma once
 
@@ -30,6 +38,8 @@ struct ChunkRecord {
   int iterations = 0;
   long matvec_columns = 0;  ///< FP64 single-column operator applications
   long matvec_columns_f32 = 0;  ///< FP32 inner applications (mixed path)
+  long applies = 0;  ///< block operator applications, FP64 and FP32
+  double apply_seconds = 0.0;  ///< wall time inside the operator
   double seconds = 0.0;
   bool converged = false;
   bool fallback = false;  ///< recovery ladder engaged below the block solve
@@ -57,7 +67,11 @@ struct DynamicBlockReport {
   /// when no model).
   double total_matvec_bytes = 0.0;
   double total_matvec_flops = 0.0;
+  long total_applies = 0;
+  /// Chunk times summed over chunks: with chunks solved concurrently this
+  /// is work, not wall time (likewise total_apply_seconds).
   double total_seconds = 0.0;
+  double total_apply_seconds = 0.0;
   bool all_converged = true;
   // Recovery-ladder totals over all chunks.
   long total_restarts = 0;
@@ -68,6 +82,8 @@ struct DynamicBlockReport {
 
   /// Table IV histogram: chunk count per selected block size.
   [[nodiscard]] std::map<int, int> block_size_counts() const;
+  /// The operator telemetry of this solve (the apply_counters payload).
+  [[nodiscard]] ApplyCounters apply_counters() const;
 };
 
 struct DynamicBlockOptions {
@@ -79,6 +95,12 @@ struct DynamicBlockOptions {
   /// quarantine). resilience.enabled = false restores the legacy behavior
   /// where an unrecovered breakdown propagates out of the solve.
   ResilienceOptions resilience;
+  /// Deterministic fault injection (tests / chaos drills). mode = kNone
+  /// leaves the operator unwrapped; otherwise every chunk solve installs
+  /// its own FaultInjectingOp, seeded from fault.seed and the chunk's
+  /// first column, so at_apply / period / max_faults count within one
+  /// chunk and fault placement never depends on the schedule.
+  FaultInjectionOptions fault;
   /// Optional event sink: recovery-ladder events (breakdowns, restarts,
   /// deflations, solver swaps, quarantines) are recorded here with their
   /// chunk position and size. Not owned.
@@ -86,7 +108,9 @@ struct DynamicBlockOptions {
 };
 
 /// Solve A Y = B for all columns of B, choosing block sizes per
-/// Algorithm 4. `y` carries initial guesses in, solutions out.
+/// Algorithm 4. `y` carries initial guesses in, solutions out. `a` is
+/// called concurrently from several chunk solves, so it must be safe to
+/// call from several threads at once.
 DynamicBlockReport solve_dynamic_block(const BlockOpC& a,
                                        const la::Matrix<cplx>& b,
                                        la::Matrix<cplx>& y,

@@ -103,15 +103,17 @@ class MatvecCostScope {
   const SolverOptions& opts_;
 };
 
-/// Running totals over operator applications (single-owner, like
-/// KernelTimers: one thread drives a given op instance).
+/// Totals over the operator applications of one or more solves: the
+/// payload of the apply_counters event (DynamicBlockReport::apply_counters).
 struct ApplyCounters {
   long applies = 0;    ///< block applications
   long columns = 0;    ///< FP64 single-vector applications
   long columns_f32 = 0;  ///< FP32 inner-iteration applications
   double bytes = 0.0;  ///< estimated bytes moved (cost model x columns)
   double flops = 0.0;  ///< estimated flops (cost model x columns)
-  double seconds = 0.0;  ///< measured wall time inside the operator
+  /// Wall time inside the operator, summed over solves (work, not wall
+  /// time, when the solves ran concurrently).
+  double seconds = 0.0;
 
   void merge(const ApplyCounters& o) {
     applies += o.applies;
@@ -147,11 +149,13 @@ struct ApplyCostModel {
 /// The Sternheimer coefficient operator A_{j,k} = H - lambda_j I
 /// + i omega_k I as a first-class block operator: chi0 binds this (rather
 /// than a per-column lambda) so every solve goes through the fused
-/// single-sweep pipeline and per-apply bytes/flops/seconds accumulate in
-/// one place. Convertible to BlockOpC by reference capture.
+/// single-sweep pipeline. Stateless apart from its binding, so concurrent
+/// chunk solves share one instance; the solvers count its applications
+/// (ChunkRecord::applies). Convertible to BlockOpC by reference capture.
 class ShiftedHamiltonianOp {
  public:
-  ShiftedHamiltonianOp(const ham::Hamiltonian& h, double lambda, double omega);
+  ShiftedHamiltonianOp(const ham::Hamiltonian& h, double lambda, double omega)
+      : h_(&h), lambda_(lambda), omega_(omega) {}
 
   void apply(const la::Matrix<cplx>& in, la::Matrix<cplx>& out) const;
   void operator()(const la::Matrix<cplx>& in, la::Matrix<cplx>& out) const {
@@ -159,36 +163,17 @@ class ShiftedHamiltonianOp {
   }
 
   /// FP32 application of the same shifted operator (the mixed-precision
-  /// inner kernel). Shares this op's counters — FP32 columns land in
-  /// ApplyCounters::columns_f32 with the elem_bytes = 4 cost model.
+  /// inner kernel).
   void apply_f32(const la::Matrix<la::cplxf>& in,
                  la::Matrix<la::cplxf>& out) const;
 
   [[nodiscard]] double lambda() const { return lambda_; }
   [[nodiscard]] double omega() const { return omega_; }
-  [[nodiscard]] double bytes_per_column() const {
-    return cost_.bytes_per_column;
-  }
-  [[nodiscard]] double flops_per_column() const {
-    return cost_.flops_per_column;
-  }
-  [[nodiscard]] double bytes_per_column_f32() const {
-    return cost_f32_.bytes_per_column;
-  }
-  [[nodiscard]] double flops_per_column_f32() const {
-    return cost_f32_.flops_per_column;
-  }
-  /// Accumulated telemetry (single-owner; reset between measurements).
-  [[nodiscard]] const ApplyCounters& counters() const { return counters_; }
-  void reset_counters() const { counters_ = ApplyCounters{}; }
 
  private:
   const ham::Hamiltonian* h_;
   double lambda_ = 0.0;
   double omega_ = 0.0;
-  ApplyCostModel cost_;
-  ApplyCostModel cost_f32_;
-  mutable ApplyCounters counters_;
 };
 
 }  // namespace rsrpa::solver

@@ -1,5 +1,6 @@
 #include "solver/resilience.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -26,8 +27,8 @@ FaultMode fault_mode_from_string(const std::string& s) {
 struct FaultInjectingOp::State {
   BlockOpC inner;
   FaultInjectionOptions opts;
-  long applies = 0;
-  long faults = 0;
+  std::atomic<long> applies{0};
+  std::atomic<long> faults{0};
 };
 
 FaultInjectingOp::FaultInjectingOp(BlockOpC inner,
@@ -44,15 +45,18 @@ void FaultInjectingOp::operator()(const la::Matrix<cplx>& in,
                                   la::Matrix<cplx>& out) const {
   State& st = *state_;
   st.inner(in, out);
-  const long idx = st.applies++;
+  const long idx = st.applies.fetch_add(1);
 
   const FaultInjectionOptions& f = st.opts;
-  if (f.mode == FaultMode::kNone || st.faults >= f.max_faults) return;
-  if (idx < f.at_apply) return;
+  if (f.mode == FaultMode::kNone || idx < f.at_apply) return;
   const bool due = f.period <= 0 ? idx == f.at_apply
                                  : (idx - f.at_apply) % f.period == 0;
   if (!due) return;
-  ++st.faults;
+  // Claim one unit of the fault budget; concurrent callers never overdraw.
+  long used = st.faults.load();
+  do {
+    if (used >= f.max_faults) return;
+  } while (!st.faults.compare_exchange_weak(used, used + 1));
 
   switch (f.mode) {
     case FaultMode::kNanMatvec:

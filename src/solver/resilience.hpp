@@ -64,16 +64,21 @@ struct FaultInjectionOptions {
   long at_apply = 1;    ///< 0-based block-apply index of the first fault
   long period = 0;      ///< 0 = fire once at at_apply; else refire every period
   int max_faults = 1;   ///< total fault budget for this wrapper instance
+                        ///< (one per chunk solve in solve_dynamic_block)
   double magnitude = 1e-2;  ///< perturbation scale (kPerturbMatvec)
   int orbital = -1;     ///< chi0 only: restrict to occupied orbital j; -1 = all
   std::uint64_t seed = 0xfa171788cULL;  ///< Rng::derive base for perturbations
 };
 
 /// Deterministic fault-injecting wrapper around a BlockOpC. Copyable with
-/// shared counters (std::function copies its target), so the apply index
-/// advances no matter which copy is invoked. One instance is created per
-/// Sternheimer solve (per occupied orbital), so the counter — and hence
-/// the fault placement — is independent of the thread schedule.
+/// shared atomic counters (std::function copies its target), so the apply
+/// index advances no matter which copy is invoked, or from which thread.
+/// solve_dynamic_block installs one instance per chunk solve
+/// (DynamicBlockOptions::fault), so the counter — and hence the fault
+/// placement — is independent of the thread schedule. A single wrapper
+/// handed to solve_dynamic_block is shared by its concurrent chunks: the
+/// fault budget holds, but which chunk a fault hits then depends on the
+/// schedule.
 class FaultInjectingOp {
  public:
   FaultInjectingOp(BlockOpC inner, const FaultInjectionOptions& opts);

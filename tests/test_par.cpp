@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
+#include "obs/event_log.hpp"
 #include "par/parallel_rpa.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/presets.hpp"
@@ -183,47 +185,90 @@ TEST_F(ParallelRpaTest, BlockSizeCapFollowsPartition) {
     EXPECT_LE(size, 2);
 }
 
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Everything a run reports that is not a timing must agree bit for bit:
+// the energy, every quadrature point's trace term, Eq. (7) error and Ritz
+// values, the Sternheimer work counters and quarantine list, and the
+// number of chi0 applications (apply_counters events).
+void expect_bitwise_same(const rpa::RpaResult& a, const rpa::RpaResult& b) {
+  EXPECT_TRUE(same_bits(a.e_rpa, b.e_rpa)) << a.e_rpa << " vs " << b.e_rpa;
+  ASSERT_EQ(a.per_omega.size(), b.per_omega.size());
+  for (std::size_t k = 0; k < a.per_omega.size(); ++k) {
+    SCOPED_TRACE("omega " + std::to_string(k));
+    const rpa::OmegaRecord& p = a.per_omega[k];
+    const rpa::OmegaRecord& q = b.per_omega[k];
+    EXPECT_TRUE(same_bits(p.e_term, q.e_term));
+    EXPECT_TRUE(same_bits(p.error, q.error));
+    ASSERT_EQ(p.eigenvalues.size(), q.eigenvalues.size());
+    for (std::size_t i = 0; i < p.eigenvalues.size(); ++i)
+      EXPECT_TRUE(same_bits(p.eigenvalues[i], q.eigenvalues[i])) << i;
+  }
+  EXPECT_EQ(a.stern.matvec_columns, b.stern.matvec_columns);
+  EXPECT_EQ(a.stern.total_chunks, b.stern.total_chunks);
+  EXPECT_EQ(a.stern.quarantined_column_indices,
+            b.stern.quarantined_column_indices);
+  EXPECT_EQ(a.events.count(obs::events::kApplyCounters),
+            b.events.count(obs::events::kApplyCounters));
+}
+
+rpa::BuiltSystem small_si(bool vacancy) {
+  rpa::SystemPreset preset = rpa::make_si_preset(1, vacancy);
+  preset.grid_per_cell = 7;
+  preset.n_eig_per_atom = 2;
+  preset.fd_radius = 3;
+  return rpa::build_system(preset);
+}
+
+ParallelRpaOptions fixed_block_options(const rpa::BuiltSystem& b) {
+  ParallelRpaOptions opts;
+  opts.rpa = b.default_rpa_options();
+  opts.rpa.ell = 2;
+  opts.rpa.tol_eig = {4e-3, 2e-3};
+  // Algorithm 4 chooses Sternheimer block sizes from MEASURED chunk wall
+  // time, so its partition is schedule-dependent by construction (it was
+  // never run-to-run reproducible, even serially). Pin the block size so
+  // the comparison isolates the runtime's determinism.
+  opts.rpa.stern.dynamic_block = false;
+  opts.n_ranks = 4;
+  return opts;
+}
+
 // The deterministic-execution acceptance criterion: both drivers produce
 // the SAME BITS at 1 and 4 threads, on two different preset systems. The
 // serial driver relies on disjoint-write parallel_for (identical FP order
-// per element); the ranked driver additionally routes its norm reductions
-// through the fixed-shape tree of parallel_reduce.
+// per element) and on chunk solves that fold in chunk order; the ranked
+// driver additionally routes its norm reductions through the fixed-shape
+// tree of parallel_reduce.
 TEST(ThreadDeterminism, BitwiseIdenticalEnergiesAtAnyThreadCount) {
   for (bool vacancy : {false, true}) {
     SCOPED_TRACE(vacancy ? "Si vacancy preset" : "Si pristine preset");
-    rpa::SystemPreset preset = rpa::make_si_preset(1, vacancy);
-    preset.grid_per_cell = 7;
-    preset.n_eig_per_atom = 2;
-    preset.fd_radius = 3;
-    rpa::BuiltSystem b = rpa::build_system(preset);
-
-    ParallelRpaOptions opts;
-    opts.rpa = b.default_rpa_options();
-    opts.rpa.ell = 2;
-    opts.rpa.tol_eig = {4e-3, 2e-3};
-    // Algorithm 4 chooses Sternheimer block sizes from MEASURED chunk wall
-    // time, so its partition is schedule-dependent by construction (it was
-    // never run-to-run reproducible, even serially). Pin the block size so
-    // the comparison isolates the runtime's determinism.
-    opts.rpa.stern.dynamic_block = false;
-    opts.n_ranks = 4;
+    rpa::BuiltSystem b = small_si(vacancy);
+    const ParallelRpaOptions opts = fixed_block_options(b);
 
     sched::set_global_threads(1);
-    const double serial_1 = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa).e_rpa;
+    const rpa::RpaResult serial_1 =
+        rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa);
     const ParallelRpaResult par_1 = run_parallel_rpa(b.ks, *b.klap, opts);
 
     sched::set_global_threads(4);
-    const double serial_4 = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa).e_rpa;
+    const rpa::RpaResult serial_4 =
+        rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa);
     const ParallelRpaResult par_4 = run_parallel_rpa(b.ks, *b.klap, opts);
     sched::set_global_threads(1);
 
-    EXPECT_EQ(std::memcmp(&serial_1, &serial_4, sizeof(double)), 0)
-        << "run_rpa: " << serial_1 << " vs " << serial_4;
-    EXPECT_EQ(std::memcmp(&par_1.rpa.e_rpa, &par_4.rpa.e_rpa, sizeof(double)),
-              0)
-        << "run_parallel_rpa: " << par_1.rpa.e_rpa << " vs "
-        << par_4.rpa.e_rpa;
-    EXPECT_LT(serial_1, 0.0);
+    {
+      SCOPED_TRACE("run_rpa");
+      expect_bitwise_same(serial_1, serial_4);
+    }
+    {
+      SCOPED_TRACE("run_parallel_rpa");
+      expect_bitwise_same(par_1.rpa, par_4.rpa);
+    }
+    EXPECT_LT(serial_1.e_rpa, 0.0);
+    EXPECT_GT(serial_1.events.count(obs::events::kApplyCounters), 0u);
 
     // The threaded run really went through the pool, and the result
     // carries its scheduler telemetry.
@@ -231,6 +276,36 @@ TEST(ThreadDeterminism, BitwiseIdenticalEnergiesAtAnyThreadCount) {
     EXPECT_GT(par_4.sched_stats.tasks, 0);
     EXPECT_EQ(par_1.sched_stats.threads, 1);
   }
+}
+
+// Fault drill: every Sternheimer apply is perturbed, with a perturbation
+// drawn from the apply index. The fault wrapper is per chunk solve, so
+// the index sequence — and the result — cannot depend on which lane runs
+// which chunk; a wrapper shared by concurrent chunks would scramble it.
+TEST(ThreadDeterminism, PerturbedMatvecDrillIsBitwiseAtAnyThreadCount) {
+  rpa::BuiltSystem b = small_si(false);
+  ParallelRpaOptions opts = fixed_block_options(b);
+  opts.rpa.stern.fault.mode = solver::FaultMode::kPerturbMatvec;
+  opts.rpa.stern.fault.at_apply = 0;
+  opts.rpa.stern.fault.period = 1;
+  opts.rpa.stern.fault.max_faults = 1 << 30;
+  opts.rpa.stern.fault.magnitude = 1e-8;
+
+  sched::set_global_threads(1);
+  const rpa::RpaResult one = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa);
+  sched::set_global_threads(4);
+  const rpa::RpaResult four = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa);
+  sched::set_global_threads(1);
+
+  expect_bitwise_same(one, four);
+  EXPECT_TRUE(std::isfinite(one.e_rpa));
+
+  // The drill really perturbed the solves.
+  sched::set_global_threads(4);
+  const rpa::RpaResult clean =
+      rpa::compute_rpa_energy(b.ks, *b.klap, fixed_block_options(b).rpa);
+  sched::set_global_threads(1);
+  EXPECT_FALSE(same_bits(one.e_rpa, clean.e_rpa));
 }
 
 TEST_F(ParallelRpaTest, ModeledNuChi0TimeShrinksWithRanks) {

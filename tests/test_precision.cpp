@@ -38,6 +38,7 @@
 #include "rpa/presets.hpp"
 #include "solver/block_cocg.hpp"
 #include "solver/block_cocr.hpp"
+#include "solver/dynamic_block.hpp"
 #include "solver/chebyshev.hpp"
 #include "solver/mixed.hpp"
 #include "solver/operator.hpp"
@@ -178,22 +179,48 @@ TEST(ApplyCostModel, PinsBothElementSizes) {
   EXPECT_DOUBLE_EQ(fused4.flops_per_column, fused8.flops_per_column);
   EXPECT_DOUBLE_EQ(ref4.flops_per_column, ref8.flops_per_column);
 
-  // The operator object carries both models and routes FP32 columns into
-  // the columns_f32 counter with the 4-byte model.
+  // A mixed solve through the operator object: the report routes FP32
+  // columns into columns_f32 with the 4-byte model, and counts every
+  // block application of either precision.
   const solver::ShiftedHamiltonianOp op(h, 0.1, 0.8);
-  EXPECT_DOUBLE_EQ(op.bytes_per_column_f32(),
-                   0.5 * op.bytes_per_column());
-  EXPECT_DOUBLE_EQ(op.flops_per_column_f32(), op.flops_per_column());
   const std::size_t ng = h.grid().size();
-  Matrix<cplx> in64(ng, 2), out64(ng, 2);
-  Matrix<cplxf> in32(ng, 3), out32(ng, 3);
-  op.apply(in64, out64);
-  op.apply_f32(in32, out32);
-  EXPECT_EQ(op.counters().columns, 2);
-  EXPECT_EQ(op.counters().columns_f32, 3);
-  EXPECT_DOUBLE_EQ(op.counters().bytes,
-                   2.0 * op.bytes_per_column() +
-                       3.0 * op.bytes_per_column_f32());
+  Rng rng(3);
+  Matrix<cplx> b(ng, 2), y(ng, 2);
+  for (std::size_t j = 0; j < 2; ++j)
+    for (std::size_t i = 0; i < ng; ++i)
+      b(i, j) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  long applies = 0;  // one chunk: never incremented concurrently
+  solver::DynamicBlockOptions dopts;
+  dopts.enabled = false;
+  dopts.fixed_block = 2;
+  dopts.solver.tol = 1e-6;
+  dopts.solver.precision = Precision::kMixed;
+  dopts.solver.mixed_apply = [&](const Matrix<cplxf>& in, Matrix<cplxf>& o) {
+    ++applies;
+    op.apply_f32(in, o);
+  };
+  dopts.solver.matvec_bytes_per_column = fused8.bytes_per_column;
+  dopts.solver.matvec_flops_per_column = fused8.flops_per_column;
+  dopts.solver.matvec_bytes_per_column_f32 = fused4.bytes_per_column;
+  dopts.solver.matvec_flops_per_column_f32 = fused4.flops_per_column;
+  const solver::DynamicBlockReport rep = solver::solve_dynamic_block(
+      [&](const Matrix<cplx>& in, Matrix<cplx>& o) {
+        ++applies;
+        op.apply(in, o);
+      },
+      b, y, dopts);
+  const solver::ApplyCounters c = rep.apply_counters();
+  EXPECT_GT(c.columns, 0);
+  EXPECT_GT(c.columns_f32, 0);
+  EXPECT_EQ(c.applies, applies);
+  ASSERT_EQ(rep.chunks.size(), 1u);
+  EXPECT_EQ(rep.chunks[0].applies, applies);
+  EXPECT_DOUBLE_EQ(c.bytes,
+                   static_cast<double>(c.columns) * fused8.bytes_per_column +
+                       static_cast<double>(c.columns_f32) *
+                           fused4.bytes_per_column);
+  EXPECT_DOUBLE_EQ(c.flops, static_cast<double>(c.columns + c.columns_f32) *
+                                fused8.flops_per_column);
 }
 
 // ---------------------------------------------------------------------------

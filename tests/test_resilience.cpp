@@ -11,6 +11,7 @@
 #include <cmath>
 #include <complex>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "la/blas.hpp"
@@ -19,6 +20,8 @@
 #include "par/parallel_rpa.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/presets.hpp"
+#include "sched/task_group.hpp"
+#include "sched/thread_pool.hpp"
 #include "solver/block_cocg.hpp"
 #include "solver/dynamic_block.hpp"
 #include "solver/resilience.hpp"
@@ -194,6 +197,28 @@ TEST(FaultInjection, CopiesShareTheApplyCounter) {
   EXPECT_FALSE(block_finite(out));
   EXPECT_EQ(op.applies(), 2);
   EXPECT_EQ(copy.faults_injected(), 1);
+}
+
+TEST(FaultInjection, ConcurrentCallersNeverOverdrawTheBudget) {
+  Rng rng(15);
+  Matrix<cplx> a = random_complex_symmetric(5, rng, cplx{6.0, 1.0});
+  FaultInjectionOptions fopts;
+  fopts.mode = FaultMode::kZeroMatvec;
+  fopts.at_apply = 0;
+  fopts.period = 1;
+  fopts.max_faults = 50;
+  FaultInjectingOp op(dense_op(a), fopts);
+  const Matrix<cplx> in = random_cblock(5, 1, rng);
+
+  sched::TaskGroup group;
+  for (int t = 0; t < 4; ++t)
+    group.run([&] {
+      Matrix<cplx> out(5, 1);
+      for (int k = 0; k < 100; ++k) op(in, out);
+    });
+  group.wait();
+  EXPECT_EQ(op.applies(), 400);
+  EXPECT_EQ(op.faults_injected(), 50);
 }
 
 // ---------------------------------------------------------------------------
@@ -466,6 +491,116 @@ TEST(DynamicBlockResilience, AllChunksQuarantinedStillCoversEveryColumn) {
   EXPECT_EQ(covered, static_cast<long>(n_rhs));
   EXPECT_GT(rep.total_matvec_columns, 0);
   EXPECT_TRUE(block_finite(y));
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent chunk solves: chunk outcomes fold in chunk order, so a
+// fixed-block run is identical at any lane count, ladder events included.
+
+void expect_same_records(const DynamicBlockReport& x,
+                         const DynamicBlockReport& y) {
+  ASSERT_EQ(x.chunks.size(), y.chunks.size());
+  for (std::size_t i = 0; i < x.chunks.size(); ++i) {
+    SCOPED_TRACE("chunk " + std::to_string(i));
+    const ChunkRecord& p = x.chunks[i];
+    const ChunkRecord& q = y.chunks[i];
+    EXPECT_EQ(p.block_size, q.block_size);
+    EXPECT_EQ(p.n_rhs, q.n_rhs);
+    EXPECT_EQ(p.iterations, q.iterations);
+    EXPECT_EQ(p.matvec_columns, q.matvec_columns);
+    EXPECT_EQ(p.matvec_columns_f32, q.matvec_columns_f32);
+    EXPECT_EQ(p.applies, q.applies);
+    EXPECT_EQ(p.converged, q.converged);
+    EXPECT_EQ(p.fallback, q.fallback);
+    EXPECT_EQ(p.restarts, q.restarts);
+    EXPECT_EQ(p.deflations, q.deflations);
+    EXPECT_EQ(p.solver_swaps, q.solver_swaps);
+    EXPECT_EQ(p.quarantined, q.quarantined);
+  }
+  EXPECT_EQ(x.total_matvec_columns, y.total_matvec_columns);
+  EXPECT_EQ(x.total_applies, y.total_applies);
+  EXPECT_EQ(x.all_converged, y.all_converged);
+  EXPECT_EQ(x.quarantined_columns, y.quarantined_columns);
+}
+
+void expect_same_events(const obs::EventLog& x, const obs::EventLog& y) {
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const obs::Event& p = x.events()[i];
+    const obs::Event& q = y.events()[i];
+    EXPECT_EQ(p.kind, q.kind) << "event " << i;
+    EXPECT_EQ(p.detail, q.detail) << "event " << i;
+    EXPECT_EQ(p.fields, q.fields) << "event " << i;
+  }
+}
+
+struct LaneRun {
+  DynamicBlockReport rep;
+  Matrix<cplx> y;
+  obs::EventLog events;
+};
+
+LaneRun solve_at_lanes(int lanes, const Matrix<cplx>& a,
+                       const Matrix<cplx>& b, DynamicBlockOptions opts) {
+  sched::set_global_threads(lanes);
+  LaneRun run;
+  run.y = Matrix<cplx>(b.rows(), b.cols());
+  opts.events = &run.events;
+  run.rep = solve_dynamic_block(dense_op(a), b, run.y, opts);
+  sched::set_global_threads(0);
+  return run;
+}
+
+TEST(DynamicBlockThreads, FixedBlockRunIsIdenticalAtOneAndFourLanes) {
+  Rng rng(34);
+  const std::size_t n = 40, n_rhs = 14;
+  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{8.0, 2.0});
+  Matrix<cplx> b = random_cblock(n, n_rhs, rng);
+  // A duplicated column inside the second chunk forces the ladder's
+  // deflations there.
+  for (std::size_t i = 0; i < n; ++i) b(i, 7) = b(i, 6);
+
+  DynamicBlockOptions opts;
+  opts.enabled = false;
+  opts.fixed_block = 4;
+  opts.solver.tol = 1e-10;
+  const LaneRun one = solve_at_lanes(1, a, b, opts);
+  const LaneRun four = solve_at_lanes(4, a, b, opts);
+
+  EXPECT_EQ(one.events.count(obs::events::kBlockDeflation), 2u);
+  ASSERT_EQ(one.rep.chunks.size(), 4u);
+  EXPECT_EQ(one.rep.chunks[1].deflations, 2);
+  EXPECT_EQ(block_error(one.y, four.y), 0.0);  // bitwise
+  expect_same_records(one.rep, four.rep);
+  expect_same_events(one.events, four.events);
+}
+
+TEST(DynamicBlockThreads, FaultsAreScheduledPerChunk) {
+  Rng rng(35);
+  const std::size_t n = 30, n_rhs = 12;
+  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{8.0, 2.0});
+  Matrix<cplx> b = random_cblock(n, n_rhs, rng);
+
+  // One NaN fault at each chunk's apply 1: every chunk restarts once,
+  // whichever lane solves it.
+  DynamicBlockOptions opts;
+  opts.enabled = false;
+  opts.fixed_block = 4;
+  opts.solver.tol = 1e-10;
+  opts.fault.mode = FaultMode::kNanMatvec;
+  opts.fault.at_apply = 1;
+  opts.fault.max_faults = 1;
+  const LaneRun one = solve_at_lanes(1, a, b, opts);
+  const LaneRun four = solve_at_lanes(4, a, b, opts);
+
+  ASSERT_EQ(one.rep.chunks.size(), 3u);
+  for (const ChunkRecord& c : one.rep.chunks) EXPECT_EQ(c.restarts, 1);
+  EXPECT_TRUE(one.rep.all_converged);
+  EXPECT_EQ(one.events.count(obs::events::kSolverRestart), 3u);
+  EXPECT_LT(block_error(one.y, la::lu_solve(a, b)), 1e-7);
+  EXPECT_EQ(block_error(one.y, four.y), 0.0);
+  expect_same_records(one.rep, four.rep);
+  expect_same_events(one.events, four.events);
 }
 
 }  // namespace

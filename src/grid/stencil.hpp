@@ -38,6 +38,7 @@
 
 #include "grid/fd.hpp"
 #include "grid/grid.hpp"
+#include "la/cmul.hpp"
 #include "la/matrix.hpp"
 #include "sched/parallel_for.hpp"
 
@@ -410,7 +411,8 @@ WrappedRowFn<T> pick_wrapped_row_simd(int r) {
 
 // Row epilogue of the fused sweep: combines the raw stencil sum (already
 // in out, still hot in L1) with the diagonal terms. The branches hoist
-// the nullable pointers out of the inner loops.
+// the nullable pointers out of the inner loops. The complex products go
+// through la::cmul so the loops vectorize (see la/cmul.hpp).
 template <typename T>
 inline void fused_row_epilogue(const T* in, T* out, const FusedTerms<T>& t,
                                std::size_t i0, std::size_t i1) {
@@ -419,19 +421,20 @@ inline void fused_row_epilogue(const T* in, T* out, const FusedTerms<T>& t,
     const la::real_t<T>* v = t.vdiag;
     if (t.extra != nullptr) {
       for (std::size_t i = i0; i < i1; ++i)
-        out[i] = alpha * out[i] + (t.beta * v[i] + t.shift) * in[i] +
-                 t.eta * t.extra[i];
+        out[i] = alpha * out[i] + la::cmul(t.beta * v[i] + t.shift, in[i]) +
+                 la::cmul(t.eta, t.extra[i]);
     } else {
       for (std::size_t i = i0; i < i1; ++i)
-        out[i] = alpha * out[i] + (t.beta * v[i] + t.shift) * in[i];
+        out[i] = alpha * out[i] + la::cmul(t.beta * v[i] + t.shift, in[i]);
     }
   } else {
     if (t.extra != nullptr) {
       for (std::size_t i = i0; i < i1; ++i)
-        out[i] = alpha * out[i] + t.shift * in[i] + t.eta * t.extra[i];
+        out[i] = alpha * out[i] + la::cmul(t.shift, in[i]) +
+                 la::cmul(t.eta, t.extra[i]);
     } else {
       for (std::size_t i = i0; i < i1; ++i)
-        out[i] = alpha * out[i] + t.shift * in[i];
+        out[i] = alpha * out[i] + la::cmul(t.shift, in[i]);
     }
   }
 }
@@ -655,15 +658,15 @@ class StencilLaplacian {
           const std::size_t base = nx * (iy + ny * iz);
           // z and y neighbor plane/row offsets are shared across the x row.
           for (std::size_t ix = 0; ix < nx; ++ix) {
-            T sum = static_cast<T>(diag_) * in[base + ix];
+            T sum = static_cast<la::real_t<T>>(diag_) * in[base + ix];
             for (int k = 1; k <= r; ++k) {
-              sum += static_cast<T>(cx_[k]) *
+              sum += static_cast<la::real_t<T>>(cx_[k]) *
                      (in[base + wx[static_cast<long>(ix) + k]] +
                       in[base + wx[static_cast<long>(ix) - k]]);
-              sum += static_cast<T>(cy_[k]) *
+              sum += static_cast<la::real_t<T>>(cy_[k]) *
                      (in[ix + nx * (wy[static_cast<long>(iy) + k] + ny * iz)] +
                       in[ix + nx * (wy[static_cast<long>(iy) - k] + ny * iz)]);
-              sum += static_cast<T>(cz_[k]) *
+              sum += static_cast<la::real_t<T>>(cz_[k]) *
                      (in[ix + nx * (iy + ny * wz[static_cast<long>(iz) + k])] +
                       in[ix + nx * (iy + ny * wz[static_cast<long>(iz) - k])]);
             }

@@ -25,6 +25,7 @@
 #include "hamiltonian/crystal.hpp"
 #include "hamiltonian/nonlocal.hpp"
 #include "hamiltonian/potential.hpp"
+#include "la/cmul.hpp"
 #include "la/matrix.hpp"
 
 namespace rsrpa::ham {
@@ -221,7 +222,7 @@ class Hamiltonian {
         auto icol = in.col(j);
         auto ocol = out.col(j);
         for (std::size_t i = 0; i < icol.size(); ++i)
-          ocol[i] += shift * icol[i];
+          ocol[i] += la::cmul(shift, icol[i]);
       }
       return;
     }
@@ -242,7 +243,8 @@ class Hamiltonian {
     }
     apply_reference<T>(in, out);
     if (shift != T{})
-      for (std::size_t i = 0; i < in.size(); ++i) out[i] += shift * in[i];
+      for (std::size_t i = 0; i < in.size(); ++i)
+        out[i] += la::cmul(shift, in[i]);
   }
 
   /// The seed schedule: stencil sweep, then the -1/2 scale + V_loc sweep,
@@ -254,7 +256,8 @@ class Hamiltonian {
     lap_.apply_reference<T>(in, out);
     const std::size_t n = in.size();
     for (std::size_t i = 0; i < n; ++i)
-      out[i] = static_cast<T>(-0.5) * out[i] + static_cast<T>(v_loc_[i]) * in[i];
+      out[i] = static_cast<la::real_t<T>>(-0.5) * out[i] +
+               static_cast<la::real_t<T>>(v_loc_[i]) * in[i];
     nonlocal_.apply_add<T>(in, out);
   }
 

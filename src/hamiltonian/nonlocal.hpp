@@ -41,12 +41,13 @@ class NonlocalProjectors {
     const std::size_t np = gamma_.size();
     for (std::size_t a = 0; a < np; ++a) {
       const std::size_t kb = offsets_[a], ke = offsets_[a + 1];
+      // Real scales, as in the block path below: never a complex product.
       T overlap{};
       for (std::size_t k = kb; k < ke; ++k)
-        overlap += static_cast<T>(val_[k]) * in[idx_[k]];
-      overlap *= static_cast<T>(gamma_[a] * dv_ * scale);
+        overlap += static_cast<la::real_t<T>>(val_[k]) * in[idx_[k]];
+      overlap *= static_cast<la::real_t<T>>(gamma_[a] * dv_ * scale);
       for (std::size_t k = kb; k < ke; ++k)
-        out[idx_[k]] += static_cast<T>(val_[k]) * overlap;
+        out[idx_[k]] += static_cast<la::real_t<T>>(val_[k]) * overlap;
     }
   }
 

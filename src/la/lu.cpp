@@ -3,13 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
+#include "la/cmul.hpp"
+
 namespace rsrpa::la {
 
 template <typename T>
-Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)), perm_(lu_.rows()) {
+Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
+  factor_lu();
+}
+
+template <typename T>
+void Lu<T>::factor(const Matrix<T>& a) {
+  lu_ = a;
+  factor_lu();
+}
+
+template <typename T>
+void Lu<T>::factor_lu() {
   RSRPA_REQUIRE(lu_.rows() == lu_.cols());
   const std::size_t n = lu_.rows();
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+  piv_.resize(n);
+  perm_sign_ = 1;
 
   double min_piv = 0.0, max_piv = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -26,9 +40,9 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)), perm_(lu_.rows()) {
     if (best == 0.0)
       throw NumericalBreakdown("LU: exactly singular pivot at step " +
                                std::to_string(k));
+    piv_[k] = piv;
     if (piv != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(piv, j));
-      std::swap(perm_[k], perm_[piv]);
       perm_sign_ = -perm_sign_;
     }
     min_piv = (k == 0) ? best : std::min(min_piv, best);
@@ -36,10 +50,11 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)), perm_(lu_.rows()) {
 
     const T inv_piv = T{1} / lu_(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
-      const T lik = lu_(i, k) * inv_piv;
+      const T lik = cmul(lu_(i, k), inv_piv);
       lu_(i, k) = lik;
       if (lik == T{0}) continue;
-      for (std::size_t j = k + 1; j < n; ++j) lu_(i, j) -= lik * lu_(k, j);
+      for (std::size_t j = k + 1; j < n; ++j)
+        lu_(i, j) -= cmul(lik, lu_(k, j));
     }
   }
   pivot_ratio_ = (max_piv > 0.0) ? min_piv / max_piv : 0.0;
@@ -49,18 +64,17 @@ template <typename T>
 void Lu<T>::solve_inplace(std::span<T> b) const {
   const std::size_t n = lu_.rows();
   RSRPA_REQUIRE(b.size() == n);
-  // Apply permutation.
-  std::vector<T> y(n);
-  for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
+  // Apply the row interchanges in factorization order.
+  for (std::size_t k = 0; k < n; ++k)
+    if (piv_[k] != k) std::swap(b[k], b[piv_[k]]);
   // Forward substitution with unit lower factor.
   for (std::size_t i = 1; i < n; ++i)
-    for (std::size_t j = 0; j < i; ++j) y[i] -= lu_(i, j) * y[j];
+    for (std::size_t j = 0; j < i; ++j) b[i] -= cmul(lu_(i, j), b[j]);
   // Back substitution with upper factor.
   for (std::size_t ii = n; ii-- > 0;) {
-    for (std::size_t j = ii + 1; j < n; ++j) y[ii] -= lu_(ii, j) * y[j];
-    y[ii] /= lu_(ii, ii);
+    for (std::size_t j = ii + 1; j < n; ++j) b[ii] -= cmul(lu_(ii, j), b[j]);
+    b[ii] /= lu_(ii, ii);
   }
-  std::copy(y.begin(), y.end(), b.begin());
 }
 
 template <typename T>
@@ -72,7 +86,7 @@ void Lu<T>::solve_inplace(Matrix<T>& b) const {
 template <typename T>
 T Lu<T>::det() const {
   T d = static_cast<T>(perm_sign_);
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= lu_(i, i);
+  for (std::size_t i = 0; i < lu_.rows(); ++i) d = cmul(d, lu_(i, i));
   return d;
 }
 

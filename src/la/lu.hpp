@@ -15,11 +15,20 @@ namespace rsrpa::la {
 template <typename T>
 class Lu {
  public:
+  /// An empty factorization for factor() to fill.
+  Lu() = default;
+
   /// Factor a (copied) square matrix. Throws NumericalBreakdown on an
   /// exactly singular pivot.
   explicit Lu(Matrix<T> a);
 
-  /// Solve A x = b in place for a single right-hand side.
+  /// Factor `a` into this object's storage, replacing any earlier
+  /// factorization. Allocation-free once the object has held a
+  /// factorization of the same size; the arithmetic is the constructor's,
+  /// so the factors are bitwise equal. Throws like the constructor.
+  void factor(const Matrix<T>& a);
+
+  /// Solve A x = b in place for a single right-hand side (no allocation).
   void solve_inplace(std::span<T> b) const;
 
   /// Solve A X = B, overwriting B with X column by column.
@@ -34,8 +43,12 @@ class Lu {
   [[nodiscard]] std::size_t size() const { return lu_.rows(); }
 
  private:
+  void factor_lu();
+
   Matrix<T> lu_;
-  std::vector<std::size_t> perm_;
+  // Row interchanges in LAPACK ipiv form: step k swapped rows k and
+  // piv_[k].
+  std::vector<std::size_t> piv_;
   int perm_sign_ = 1;
   double pivot_ratio_ = 0.0;
 };

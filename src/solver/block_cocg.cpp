@@ -1,10 +1,12 @@
 #include "solver/block_cocg.hpp"
-#include <cstdio>
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
+#include <utility>
 
 #include "la/blas.hpp"
+#include "la/cmul.hpp"
 #include "la/lu.hpp"
 #include "solver/mixed.hpp"
 
@@ -53,7 +55,10 @@ class StagnationProbe {
 // The recurrence over a generic working scalar C (cplx for the FP64
 // path, cplxf for the mixed inner iterations). All control-flow scalars
 // — norms, tolerances, pivot ratios — stay double either way; only the
-// vector storage and the s x s algebra carry C.
+// vector storage and the s x s algebra carry C. Every block and both
+// s x s factorizations are allocated once when the solve starts, so an
+// iteration allocates nothing: P is double-buffered, rho and rho_new
+// swap, and the LU objects re-factor into their own storage.
 template <typename C>
 SolveReport block_cocg_core(
     const std::function<void(const la::Matrix<C>&, la::Matrix<C>&)>& a,
@@ -80,8 +85,9 @@ SolveReport block_cocg_core(
   la::Matrix<C> rho(s, s);
   la::gemm_tn(C{1}, w, w, C{0}, rho);  // rho_0 = W^T W
 
-  la::Matrix<C> p(n, s), u(n, s), mu(s, s), alpha(s, s), beta(s, s),
-      rho_new(s, s);
+  la::Matrix<C> p(n, s), pnew(n, s), u(n, s), mu(s, s), alpha(s, s),
+      beta(s, s), rho_new(s, s);
+  la::Lu<C> lu_mu, lu_rho;
   bool have_p = false;  // P_{-1} = 0, beta_{-1} = 0
 
   rep.relative_residual = la::norm_fro(w) / bnorm;
@@ -96,8 +102,8 @@ SolveReport block_cocg_core(
   // start; callers deflate by falling back to smaller blocks. This is the
   // deflation caveat of block methods the paper notes in SS II.
   if (s > 1) {
-    la::Lu<C> lu_rho0(rho);
-    if (lu_rho0.pivot_ratio() < opts.breakdown_tol)
+    lu_rho.factor(rho);
+    if (lu_rho.pivot_ratio() < opts.breakdown_tol)
       throw NumericalBreakdown(
           "block COCG: initial residual block is numerically rank-deficient");
   }
@@ -107,9 +113,9 @@ SolveReport block_cocg_core(
   for (int it = 0; it < opts.max_iter; ++it) {
     // P_j = W_j + P_{j-1} beta_{j-1}.
     if (have_p) {
-      la::Matrix<C> pnew = w;
+      pnew = w;
       la::gemm_nn(C{1}, p, beta, C{1}, pnew);
-      p = std::move(pnew);
+      std::swap(p, pnew);
     } else {
       p = w;
       have_p = true;
@@ -126,7 +132,7 @@ SolveReport block_cocg_core(
     // it signals either a genuine conjugacy breakdown or benign exact
     // termination (the block Krylov space has filled out). Take the step
     // either way and decide from the residual it produces.
-    la::Lu<C> lu_mu(mu);
+    lu_mu.factor(mu);
     const bool mu_suspect = lu_mu.pivot_ratio() < opts.breakdown_tol;
     alpha = rho;
     lu_mu.solve_inplace(alpha);
@@ -157,10 +163,10 @@ SolveReport block_cocg_core(
 
     // rho_{j+1} = W^T W;  beta_j = rho_j^{-1} rho_{j+1}.
     la::gemm_tn(C{1}, w, w, C{0}, rho_new);
-    la::Lu<C> lu_rho(rho);
+    lu_rho.factor(rho);
     beta = rho_new;
     lu_rho.solve_inplace(beta);
-    rho = rho_new;
+    std::swap(rho, rho_new);
   }
   return rep;  // not converged
 }
@@ -221,7 +227,7 @@ SolveReport cocg(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
   StagnationProbe stagnation(opts, rep.relative_residual);
   for (int it = 0; it < opts.max_iter; ++it) {
     if (have_p) {
-      for (std::size_t i = 0; i < n; ++i) p[i] = w[i] + beta * p[i];
+      for (std::size_t i = 0; i < n; ++i) p[i] = w[i] + la::cmul(beta, p[i]);
     } else {
       p.assign(w.begin(), w.end());
       have_p = true;
@@ -238,8 +244,8 @@ SolveReport cocg(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
                            la::nrm2(std::span<const cplx>(p));
     const cplx alpha = rho / mu;
     for (std::size_t i = 0; i < n; ++i) {
-      y[i] += alpha * p[i];
-      w[i] -= alpha * u[i];
+      y[i] += la::cmul(alpha, p[i]);
+      w[i] -= la::cmul(alpha, u[i]);
     }
     rep.iterations = it + 1;
     rep.relative_residual = la::nrm2(std::span<const cplx>(w)) / bnorm;

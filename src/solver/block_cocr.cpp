@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "la/blas.hpp"
 #include "la/lu.hpp"
@@ -12,7 +13,8 @@ namespace rsrpa::solver {
 namespace {
 
 // The recurrence over a generic working scalar C (cplx for the FP64
-// path, cplxf for the mixed inner iterations); see block_cocg.cpp.
+// path, cplxf for the mixed inner iterations). As in block_cocg.cpp,
+// all storage is allocated once per solve.
 template <typename C>
 SolveReport block_cocr_core(
     const std::function<void(const la::Matrix<C>&, la::Matrix<C>&)>& a,
@@ -46,16 +48,17 @@ SolveReport block_cocr_core(
   a(r, ar);
   rep.matvec_columns += static_cast<long>(s);
 
-  la::Matrix<C> p = r, ap = ar;
+  la::Matrix<C> p = r, ap = ar, pnew(n, s), apnew(n, s);
   la::Matrix<C> rho(s, s), rho_new(s, s), sigma(s, s), alpha(s, s),
       beta(s, s);
+  la::Lu<C> lu_sigma, lu_rho;
   la::gemm_tn(C{1}, r, ar, C{0}, rho);  // rho = R^T A R
 
   double prev_relres = rep.relative_residual;
   for (int it = 0; it < opts.max_iter; ++it) {
     // sigma = (A P)^T (A P); alpha = sigma^{-1} rho.
     la::gemm_tn(C{1}, ap, ap, C{0}, sigma);
-    la::Lu<C> lu_sigma(sigma);
+    lu_sigma.factor(sigma);
     const bool suspect = lu_sigma.pivot_ratio() < opts.breakdown_tol;
     alpha = rho;
     lu_sigma.solve_inplace(alpha);
@@ -81,18 +84,18 @@ SolveReport block_cocr_core(
     rep.matvec_columns += static_cast<long>(s);
     la::gemm_tn(C{1}, r, ar, C{0}, rho_new);
 
-    la::Lu<C> lu_rho(rho);
+    lu_rho.factor(rho);
     beta = rho_new;
     lu_rho.solve_inplace(beta);
-    rho = rho_new;
+    std::swap(rho, rho_new);
 
     // P = R + P beta; AP = AR + AP beta.
-    la::Matrix<C> pnew = r;
+    pnew = r;
     la::gemm_nn(C{1}, p, beta, C{1}, pnew);
-    p = std::move(pnew);
-    la::Matrix<C> apnew = ar;
+    std::swap(p, pnew);
+    apnew = ar;
     la::gemm_nn(C{1}, ap, beta, C{1}, apnew);
-    ap = std::move(apnew);
+    std::swap(ap, apnew);
   }
   return rep;
 }

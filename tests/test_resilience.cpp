@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -219,6 +221,76 @@ TEST(FaultInjection, ConcurrentCallersNeverOverdrawTheBudget) {
   group.wait();
   EXPECT_EQ(op.applies(), 400);
   EXPECT_EQ(op.faults_injected(), 50);
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite contract of the plain complex products (la/cmul.hpp). They
+// drop C99 Annex G's infinity recovery, so check that a NaN or an
+// infinity in one operator output still makes the block-COCG residual
+// non-finite, and that the ladder still recovers from it.
+
+// The dense operator, with out(0, 0) overwritten by `bad` on block apply
+// `at` (0-based, counted in `applies`).
+BlockOpC poisoned_op(const Matrix<cplx>& a, cplx bad, long at,
+                     std::shared_ptr<long> applies) {
+  return [&a, bad, at, applies](const Matrix<cplx>& in, Matrix<cplx>& out) {
+    la::gemm_nn(cplx{1}, a, in, cplx{0}, out);
+    if ((*applies)++ == at) out(0, 0) = bad;
+  };
+}
+
+const cplx kPoisons[] = {
+    {std::numeric_limits<double>::quiet_NaN(), 0.0},
+    {std::numeric_limits<double>::infinity(), 0.0},
+    {-std::numeric_limits<double>::infinity(), 0.0},
+    {0.0, std::numeric_limits<double>::infinity()},
+};
+
+TEST(NonFiniteContract, PoisonedMatvecMakesTheResidualNonFinite) {
+  for (const std::size_t s : {std::size_t{1}, std::size_t{8}}) {
+    for (const cplx bad : kPoisons) {
+      SCOPED_TRACE("s=" + std::to_string(s) + " poison=(" +
+                   std::to_string(bad.real()) + "," +
+                   std::to_string(bad.imag()) + ")");
+      Rng rng(31);
+      const std::size_t n = 40;
+      Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{8.0, 2.0});
+      Matrix<cplx> b = random_cblock(n, s, rng);
+      Matrix<cplx> y(n, s);
+      SolverOptions sopts;
+      sopts.tol = 1e-10;
+      try {
+        // Apply 1 is the first iteration's U = A P.
+        block_cocg(poisoned_op(a, bad, 1, std::make_shared<long>(0)), b, y,
+                   sopts);
+        ADD_FAILURE() << "the solve did not break down";
+      } catch (const NumericalBreakdown& e) {
+        EXPECT_STREQ(e.what(), "block COCG: non-finite residual");
+      }
+    }
+  }
+}
+
+TEST(NonFiniteContract, NonFiniteMatvecStillEngagesTheLadder) {
+  for (const cplx bad : kPoisons) {
+    Rng rng(32);
+    const std::size_t n = 40, s = 8;
+    Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{8.0, 2.0});
+    Matrix<cplx> b = random_cblock(n, s, rng);
+    Matrix<cplx> y(n, s);
+    SolverOptions sopts;
+    sopts.tol = 1e-10;
+    obs::EventLog events;
+    ResilientSolveResult r = resilient_block_solve(
+        poisoned_op(a, bad, 1, std::make_shared<long>(0)), b, y, sopts,
+        ResilienceOptions{}, 0, &events);
+    EXPECT_TRUE(r.report.converged);
+    EXPECT_EQ(r.restarts, 1);
+    EXPECT_TRUE(r.quarantined.empty());
+    EXPECT_EQ(events.count(obs::events::kSolverBreakdown), 1u);
+    EXPECT_TRUE(block_finite(y));
+    EXPECT_LT(block_error(y, la::lu_solve(a, b)), 1e-7);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -123,52 +123,8 @@ void BM_ShiftedApplyReference(benchmark::State& state) {
   shifted_apply_bench(state, false, false);
 }
 
-// Rung 3: the FP32 shifted apply the mixed-precision inner iterations
-// run — same operator, 4-byte words, SIMD rows at twice the lane count.
-struct HamFixtureF32 {
-  rsrpa::Rng rng{1};
-  rsrpa::ham::Hamiltonian h{Grid3D::cubic(48, rsrpa::ham::kSiLatticeConstant),
-                            6, rsrpa::ham::make_silicon_chain(1, 0.0, rng),
-                            rsrpa::ham::ModelParams{}};
-  Matrix<rsrpa::la::cplxf> in, out;
-
-  explicit HamFixtureF32(std::size_t s)
-      : in(h.grid().size(), s), out(h.grid().size(), s) {
-    rsrpa::Rng fill(2);
-    std::vector<double> re(h.grid().size()), im(h.grid().size());
-    for (std::size_t j = 0; j < s; ++j) {
-      fill.fill_uniform(re);
-      fill.fill_uniform(im);
-      auto col = in.col(j);
-      for (std::size_t i = 0; i < col.size(); ++i)
-        col[i] = {static_cast<float>(re[i]), static_cast<float>(im[i])};
-    }
-  }
-};
-
-void BM_ShiftedApplyFusedSimdF32(benchmark::State& state) {
-  HamFixtureF32 f(static_cast<std::size_t>(state.range(0)));
-  f.h.set_fused_apply(true);
-  f.h.set_simd(true);
-  for (auto _ : state) {
-    f.h.apply_shifted_block(f.in, f.out, 0.2, 1.0);
-    benchmark::DoNotOptimize(f.out.data());
-  }
-  const rsrpa::solver::ApplyCostModel cost =
-      rsrpa::solver::shifted_apply_cost(f.h, true, 4.0);
-  const double cols = static_cast<double>(state.range(0)) *
-                      static_cast<double>(state.iterations());
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      cost.flops_per_column * cols * 1e-9, benchmark::Counter::kIsRate);
-  state.counters["GB/s"] = benchmark::Counter(
-      cost.bytes_per_column * cols * 1e-9, benchmark::Counter::kIsRate);
-  state.counters["AI"] = benchmark::Counter(
-      cost.flops_per_column / cost.bytes_per_column);
-}
-
 BENCHMARK(BM_ShiftedApplyFusedScalar)->Arg(8);
 BENCHMARK(BM_ShiftedApplyFused)->Arg(8);
-BENCHMARK(BM_ShiftedApplyFusedSimdF32)->Arg(8);
 BENCHMARK(BM_ShiftedApplyReference)->Arg(8);
 
 // Console reporter that additionally captures every run (name, iteration
@@ -238,22 +194,18 @@ int main(int argc, char** argv) {
   const double sim16 = gflops_of(runs, "BM_StencilSimultaneous/16");
   const double t_scalar = seconds_of(runs, "BM_ShiftedApplyFusedScalar/8");
   const double t_fused = seconds_of(runs, "BM_ShiftedApplyFused/8");
-  const double t_f32 = seconds_of(runs, "BM_ShiftedApplyFusedSimdF32/8");
   const double t_ref = seconds_of(runs, "BM_ShiftedApplyReference/8");
   const double speedup = t_fused > 0.0 ? t_ref / t_fused : 0.0;
   const double simd_speedup = t_fused > 0.0 ? t_scalar / t_fused : 0.0;
-  const double mixed_speedup = t_f32 > 0.0 ? t_scalar / t_f32 : 0.0;
   const bool simd_compiled = StencilLaplacian::simd_compiled();
   report.data()["runs"] = std::move(runs);
   report.data()["gflops_one_at_a_time_s16"] = rsrpa::obs::Json(one16);
   report.data()["gflops_simultaneous_s16"] = rsrpa::obs::Json(sim16);
   report.data()["shifted_apply_fused_scalar_s"] = rsrpa::obs::Json(t_scalar);
   report.data()["shifted_apply_fused_s"] = rsrpa::obs::Json(t_fused);
-  report.data()["shifted_apply_fused_simd_f32_s"] = rsrpa::obs::Json(t_f32);
   report.data()["shifted_apply_reference_s"] = rsrpa::obs::Json(t_ref);
   report.data()["fused_speedup"] = rsrpa::obs::Json(speedup);
   report.data()["simd_speedup"] = rsrpa::obs::Json(simd_speedup);
-  report.data()["mixed_apply_speedup"] = rsrpa::obs::Json(mixed_speedup);
   report.data()["simd_compiled"] = rsrpa::obs::Json(simd_compiled);
   std::printf("\ns=16 throughput: one-at-a-time %.2f GFLOP/s vs simultaneous "
               "%.2f GFLOP/s\n",
@@ -262,25 +214,21 @@ int main(int argc, char** argv) {
               "(speedup %.2fx)\n",
               t_fused, t_ref, speedup);
   std::printf("speedup ladder s=8: fused %.4f s -> fused+SIMD %.4f s "
-              "(%.2fx) -> fused+SIMD+f32 %.4f s (%.2fx)%s\n",
-              t_scalar, t_fused, simd_speedup, t_f32, mixed_speedup,
+              "(%.2fx)%s\n",
+              t_scalar, t_fused, simd_speedup,
               simd_compiled ? "" : "  [SIMD not compiled: ladder waived]");
   report.add_check("all benchmark runs captured with throughput counters",
-                   n_run == 14 && one16 > 0.0 && sim16 > 0.0);
+                   n_run == 13 && one16 > 0.0 && sim16 > 0.0);
   // Machine-load-tolerant version of the paper claim: the per-vector
   // schedule should at least be in the same league as the simultaneous one.
   report.add_check("one-at-a-time sustains >= 0.5x simultaneous at s=16",
                    one16 >= 0.5 * sim16);
   report.add_check("fused shifted apply >= 1.5x faster than the seed path",
                    speedup >= 1.5);
-  // Speedup-ladder acceptance rungs. On builds without RSRPA_SIMD the
-  // vectorized rungs degenerate to the scalar path, so the ladder is
-  // waived (pass) rather than reporting a spurious regression; the
-  // accuracy side of the mixed rung (|dE| <= 1e-4 Ha/atom) is enforced by
-  // the ctest precision label (PrecisionContract.AllFourBackends...).
+  // Speedup-ladder acceptance rung. On builds without RSRPA_SIMD the
+  // vectorized rung degenerates to the scalar path, so the check is
+  // waived (pass) rather than reporting a spurious regression.
   report.add_check("ladder: fused+SIMD >= 1.2x over fused (one core)",
                    !simd_compiled || simd_speedup >= 1.2);
-  report.add_check("ladder: fused+SIMD+mixed >= 1.5x over fused (one core)",
-                   !simd_compiled || mixed_speedup >= 1.5);
   return report.finish();
 }

@@ -23,11 +23,9 @@
 //   SEED             crystal RNG seed                 (default 7)
 //
 // Precision / apply-path keys (DESIGN.md "Precision model",
-// docs/REPRODUCING.md "Sanitizer and precision matrix"):
-//   PRECISION   fp64 (default, bitwise-reproducible) or mixed: FP32 inner
-//               Sternheimer iterations with FP64 residual replacement and
-//               an FP32 CheFSI filter workspace; agrees with fp64 to
-//               <= 1e-4 Ha/atom at the correlation energy
+// docs/REPRODUCING.md "Sanitizer and SIMD matrix"):
+//   PRECISION   fp64 only (optional); every solve runs in FP64 and any
+//               other value, including the removed `mixed`, is rejected
 //   SIMD        -1 compiled default (vectorized rows when compiled in),
 //               0 scalar stencil rows, 1 vectorized rows — both paths
 //               are bitwise identical

@@ -30,6 +30,13 @@ JobSpec parse_job(const Config& cfg) {
       cfg.has("METHOD") ? cfg.get_string("METHOD") : "sternheimer");
   const solver::FaultMode fault_mode = solver::fault_mode_from_string(
       cfg.has("FAULT_MODE") ? cfg.get_string("FAULT_MODE") : "none");
+  // Every solve runs in FP64. Config ignores keys it does not read, so an
+  // old `PRECISION: mixed` input is refused here rather than quietly run
+  // at fp64.
+  if (cfg.has("PRECISION") && cfg.get_string("PRECISION") != "fp64")
+    throw Error("PRECISION '" + cfg.get_string("PRECISION") +
+                "' is not supported: mixed precision was removed and every "
+                "solve runs in fp64 (DESIGN.md \"Precision model\")");
 
   rpa::SystemPreset& preset = spec.preset;
   preset.ncells = static_cast<std::size_t>(cfg.get_int_or("N_CELLS", 1));
@@ -42,21 +49,9 @@ JobSpec parse_job(const Config& cfg) {
   preset.fd_radius = cfg.get_int_or("FD_RADIUS", 4);
   preset.perturbation = cfg.get_double_or("PERTURBATION", 0.01);
   preset.seed = static_cast<std::uint64_t>(cfg.get_int_or("SEED", 7));
-  // Apply tuning, resolved per Hamiltonian instance in build_system,
-  // never latched process-wide.
-  preset.fused_apply = cfg.get_int_or("FUSED_APPLY", -1);
-  preset.tile_y = static_cast<std::size_t>(cfg.get_int_or("TILE_Y", 0));
-  preset.tile_z = static_cast<std::size_t>(cfg.get_int_or("TILE_Z", 0));
-  // SIMD stencil rows follow the same default/override pattern (see
-  // grid/stencil.hpp).
+  // SIMD stencil rows, resolved per Hamiltonian instance in build_system
+  // (see grid/stencil.hpp), never latched process-wide.
   preset.simd = cfg.get_int_or("SIMD", -1);
-  // PRECISION governs the whole job: the CheFSI filter workspace (via the
-  // preset) and the Sternheimer inner iterations (via stern.precision,
-  // inherited by every METHOD backend below). Default fp64 reproduces the
-  // seed bitwise; mixed is bitwise-or-tolerance (<= 1e-4 Ha/atom).
-  const common::Precision precision = common::precision_from_string(
-      cfg.has("PRECISION") ? cfg.get_string("PRECISION") : "fp64");
-  preset.precision = precision;
 
   rpa::RpaOptions& opts = spec.options;
   // Keep in lockstep with BuiltSystem::default_rpa_options: same defaults,
@@ -82,7 +77,6 @@ JobSpec parse_job(const Config& cfg) {
   opts.stern.dynamic_block = cfg.get_int_or("DYNAMIC_BLOCK", 1) != 0;
   opts.stern.fixed_block =
       cfg.get_int_or("BLOCK_SIZE", opts.stern.fixed_block);
-  opts.stern.precision = precision;
 
   // Failure semantics: recovery ladder, stagnation detection, and the
   // deterministic fault-injection harness (chaos drills).

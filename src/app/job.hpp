@@ -2,8 +2,8 @@
 //
 // A job is one `.rpa` config (common/config.hpp — the artifact key-value
 // format) mapped onto a SystemPreset + RpaOptions pair plus the backend
-// selector. Besides the artifact, precision and failure-semantics keys
-// listed in examples/rpacalc.cpp, it reads:
+// selector. Besides the artifact, SIMD and failure-semantics keys listed
+// in examples/rpacalc.cpp, it reads:
 //
 //   METHOD       sternheimer | direct | isdf | slq        (default sternheimer)
 //                which of the four E_RPA drivers runs; see
@@ -36,10 +36,8 @@
 //                scale); above it the point falls back to a full solve
 //   SSA_REFRESH  1 (default) = a fallback's converged eigenvectors
 //                replace the frozen basis; 0 = the basis stays frozen
-//   FUSED_APPLY  0 = reference multi-sweep apply, 1 = fused single-sweep
-//                (default)
-//   TILE_Y       fused-sweep cache-block extents for this run's operator;
-//   TILE_Z       unset/0 = the defaults 32 / 16
+//   PRECISION    fp64 only; any other value (e.g. the removed `mixed`)
+//                is rejected
 //   DYNAMIC_BLOCK  1 = Algorithm 4 timing-driven block sizing (default);
 //                  0 = fixed BLOCK_SIZE — required for bitwise-reproducible
 //                  runs (the dynamic path keys off wall clock)
@@ -86,7 +84,8 @@ struct JobSpec {
 /// Map a parsed .rpa config onto a JobSpec. Defaults mirror
 /// BuiltSystem::default_rpa_options so an empty config reproduces the
 /// preset run exactly. Throws Error on malformed values (e.g. an unknown
-/// FAULT_MODE) — validation happens here, before any system is built.
+/// FAULT_MODE or a PRECISION other than fp64) — validation happens here,
+/// before any system is built.
 JobSpec parse_job(const Config& cfg);
 
 }  // namespace rsrpa::app

@@ -5,7 +5,6 @@
 #include "la/blas.hpp"
 #include "la/eig.hpp"
 #include "la/qr.hpp"
-#include "obs/event_log.hpp"
 #include "solver/chebyshev.hpp"
 
 namespace rsrpa::dft {
@@ -19,16 +18,6 @@ void chebyshev_filter(const ham::Hamiltonian& h, la::Matrix<double>& v,
       [&h](const la::Matrix<double>& in, la::Matrix<double>& out, double c1,
            double c0, const la::Matrix<double>* extra, double c2) {
         h.apply_poly_block<double>(in, out, c1, c0, extra, c2);
-      },
-      v, degree, a, b, a0);
-}
-
-bool chebyshev_filter_f32(const ham::Hamiltonian& h, la::Matrix<double>& v,
-                          int degree, double a, double b, double a0) {
-  return solver::chebyshev_filter_fused_f32(
-      [&h](const la::Matrix<float>& in, la::Matrix<float>& out, double c1,
-           double c0, const la::Matrix<float>* extra, double c2) {
-        h.apply_poly_block<float>(in, out, c1, c0, extra, c2);
       },
       v, degree, a, b, a0);
 }
@@ -79,23 +68,10 @@ GroundState solve_ground_state(const ham::Hamiltonian& h, std::size_t n_states,
       break;
     }
 
-    // Filter: damp [top Ritz value, upper bound], amplify below. Mixed
-    // schedule: FP32 workspace while the residual is coarse, FP64 for
-    // the endgame (and for any call whose schedule is not FP32-safe).
+    // Filter: damp [top Ritz value, upper bound], amplify below.
     const double a = ritz.back() + 1e-8 * (ub - lb);
     const double a0 = std::min(ritz.front(), lb);
-    bool filtered = false;
-    if (opts.precision == common::Precision::kMixed &&
-        max_res > ChefsiOptions::kF32ResidualFloor) {
-      filtered = chebyshev_filter_f32(h, v, opts.degree, a, ub, a0);
-      if (!filtered && opts.events != nullptr)
-        opts.events->emit(obs::events::kPrecisionFallback,
-                          "chefsi: filter schedule not FP32-safe, FP64 "
-                          "workspace for this call",
-                          {{"iteration", static_cast<double>(iter)},
-                           {"window", ub - a}});
-    }
-    if (!filtered) chebyshev_filter(h, v, opts.degree, a, ub, a0);
+    chebyshev_filter(h, v, opts.degree, a, ub, a0);
     la::orthonormalize(v);
   }
 

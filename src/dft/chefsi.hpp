@@ -10,14 +10,9 @@
 // eigenproblem of nu^{1/2} chi0 nu^{1/2}; that variant lives in src/rpa.
 #pragma once
 
-#include "common/precision.hpp"
 #include "common/rng.hpp"
 #include "hamiltonian/hamiltonian.hpp"
 #include "la/matrix.hpp"
-
-namespace rsrpa::obs {
-class EventLog;
-}  // namespace rsrpa::obs
 
 namespace rsrpa::dft {
 
@@ -26,21 +21,6 @@ struct ChefsiOptions {
   int max_iter = 60;
   double tol = 1e-8;           ///< max relative eigenpair residual
   std::size_t extra_states = 8;  ///< buffer states beyond the wanted count
-  /// kMixed stores the Chebyshev filter workspace in FP32 while the
-  /// eigenpair residual is above kF32ResidualFloor, then finishes with
-  /// FP64 filters — the filter only steers the subspace, Rayleigh-Ritz
-  /// stays FP64 throughout, so converged eigenpairs meet `tol` either
-  /// way. A filter call whose coefficient schedule is not FP32-safe
-  /// (solver::chebyshev_filter_fused_f32) falls back to FP64 for that
-  /// call and emits a precision_fallback event.
-  common::Precision precision = common::Precision::kFp64;
-  /// Optional sink for precision_fallback events. Not owned.
-  obs::EventLog* events = nullptr;
-
-  /// Residual floor below which the mixed schedule switches the filter
-  /// back to FP64 (FP32 filtering past single-precision resolution just
-  /// churns the subspace).
-  static constexpr double kF32ResidualFloor = 1e-5;
 };
 
 struct GroundState {
@@ -57,14 +37,6 @@ struct GroundState {
 /// by the RPA subspace iteration.
 void chebyshev_filter(const ham::Hamiltonian& h, la::Matrix<double>& v,
                       int degree, double a, double b, double a0);
-
-/// FP32-workspace filter (mixed CheFSI schedule): demote V once, run the
-/// three-term recurrence through the Hamiltonian's FP32 fused sweep,
-/// promote back. Returns false — with `v` untouched — when the
-/// coefficient schedule is not FP32-safe; the caller reruns in FP64.
-[[nodiscard]] bool chebyshev_filter_f32(const ham::Hamiltonian& h,
-                                        la::Matrix<double>& v, int degree,
-                                        double a, double b, double a0);
 
 /// Solve for the lowest `n_states` eigenpairs of H.
 GroundState solve_ground_state(const ham::Hamiltonian& h, std::size_t n_states,

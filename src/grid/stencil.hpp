@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "grid/fd.hpp"
@@ -55,20 +54,19 @@ inline constexpr std::size_t kDefaultFusedTileZ = 16;
 ///   out = alpha * Lap(in) + (beta * vdiag + shift) . in + eta * extra.
 /// vdiag and extra are optional (nullptr = absent); with the defaults the
 /// sweep degenerates to the plain Laplacian and the epilogue is skipped.
-/// The purely real terms carry the underlying real scalar of T (double
-/// for double/cplx sweeps, float for the FP32 mixed-precision sweeps) so
+/// The purely real terms stay double for both double and cplx sweeps, so
 /// no per-point promotion to complex ever happens.
 template <typename T>
 struct FusedTerms {
-  la::real_t<T> alpha = 1.0;            ///< scale on the Laplacian sum
-  const la::real_t<T>* vdiag = nullptr; ///< real diagonal (local potential)
-  la::real_t<T> beta = 0.0;             ///< scale on vdiag
+  double alpha = 1.0;            ///< scale on the Laplacian sum
+  const double* vdiag = nullptr; ///< real diagonal (local potential)
+  double beta = 0.0;             ///< scale on vdiag
   T shift{};                     ///< constant diagonal shift (-lambda + i omega)
   const T* extra = nullptr;      ///< extra vector (Chebyshev V_{k-1})
   T eta{};                       ///< scale on extra
 
   [[nodiscard]] bool identity() const {
-    return alpha == la::real_t<T>{1} && vdiag == nullptr && shift == T{} &&
+    return alpha == 1.0 && vdiag == nullptr && shift == T{} &&
            extra == nullptr;
   }
 };
@@ -82,9 +80,9 @@ namespace detail {
 template <typename T, int R>
 inline void stencil_row_interior(const T* in, T* out, std::size_t base,
                                  std::size_t x0, std::size_t x1, long snx,
-                                 long snxny, int r, const la::real_t<T>* cx,
-                                 const la::real_t<T>* cy,
-                                 const la::real_t<T>* cz, la::real_t<T> diag) {
+                                 long snxny, int r, const double* cx,
+                                 const double* cy, const double* cz,
+                                 double diag) {
   // The coefficients stay real (never static_cast to T): scaling a
   // complex sum by a real is two multiplies, while promoting the
   // coefficient to complex costs a full complex product per neighbor.
@@ -106,8 +104,8 @@ inline void stencil_row_interior(const T* in, T* out, std::size_t base,
 template <typename T>
 using StencilRowFn = void (*)(const T*, T*, std::size_t, std::size_t,
                               std::size_t, long, long, int,
-                              const la::real_t<T>*, const la::real_t<T>*,
-                              const la::real_t<T>*, la::real_t<T>);
+                              const double*, const double*, const double*,
+                              double);
 
 template <typename T>
 StencilRowFn<T> pick_interior_row(int r) {
@@ -127,7 +125,7 @@ StencilRowFn<T> pick_interior_row(int r) {
 // Explicit vectorization of the interior-row stencil sum via GCC/Clang
 // vector extensions (portable across x86 widths without intrinsics).
 // The stencil coefficients are purely real, so a complex row is just an
-// even-length real row: with E = sizeof(T)/sizeof(real) real elements
+// even-length real row: with E = sizeof(T)/sizeof(double) real elements
 // per grid point, every neighbor offset scales by E and each vector lane
 // performs the exact multiply/add tree of the scalar kernel (same FMA
 // contraction opportunities), which is what makes the SIMD path
@@ -135,54 +133,24 @@ StencilRowFn<T> pick_interior_row(int r) {
 // vectorized; the fused epilogue (complex products) stays scalar.
 namespace simd {
 
-template <typename R>
-struct lanes;
 #if defined(__AVX512F__)
-template <>
-struct lanes<double> { static constexpr std::size_t value = 8; };
-template <>
-struct lanes<float> { static constexpr std::size_t value = 16; };
+inline constexpr std::size_t kLanes = 8;
 #elif defined(__AVX__)
-template <>
-struct lanes<double> { static constexpr std::size_t value = 4; };
-template <>
-struct lanes<float> { static constexpr std::size_t value = 8; };
+inline constexpr std::size_t kLanes = 4;
 #else
-template <>
-struct lanes<double> { static constexpr std::size_t value = 2; };
-template <>
-struct lanes<float> { static constexpr std::size_t value = 4; };
+inline constexpr std::size_t kLanes = 2;
 #endif
 
-// Full specializations: vector_size on a dependent type is silently
-// ignored, so the vector types must be spelled out per real scalar.
-template <typename R>
-struct vec_of;
-template <>
-struct vec_of<double> {
-  typedef double type
-      __attribute__((vector_size(lanes<double>::value * sizeof(double))));
-};
-template <>
-struct vec_of<float> {
-  typedef float type
-      __attribute__((vector_size(lanes<float>::value * sizeof(float))));
-};
-template <typename R>
-using Vec = typename vec_of<R>::type;
+typedef double Vec __attribute__((vector_size(kLanes * sizeof(double))));
 
-// Unaligned load/store; compiles to single vmovup{d,s} instructions.
-template <typename R>
-inline Vec<R> vload(const R* p) {
-  Vec<R> v;
+// Unaligned load/store; compiles to single vmovupd instructions.
+inline Vec vload(const double* p) {
+  Vec v;
   __builtin_memcpy(&v, p, sizeof v);
   return v;
 }
 
-template <typename R>
-inline void vstore(R* p, Vec<R> v) {
-  __builtin_memcpy(p, &v, sizeof v);
-}
+inline void vstore(double* p, Vec v) { __builtin_memcpy(p, &v, sizeof v); }
 
 }  // namespace simd
 
@@ -190,36 +158,33 @@ template <typename T, int R>
 inline void stencil_row_interior_simd(const T* in, T* out, std::size_t base,
                                       std::size_t x0, std::size_t x1, long snx,
                                       long snxny, int r,
-                                      const la::real_t<T>* cx,
-                                      const la::real_t<T>* cy,
-                                      const la::real_t<T>* cz,
-                                      la::real_t<T> diag) {
-  using Real = la::real_t<T>;
-  using V = simd::Vec<Real>;
-  constexpr std::size_t E = sizeof(T) / sizeof(Real);
-  constexpr std::size_t W = simd::lanes<Real>::value;
+                                      const double* cx, const double* cy,
+                                      const double* cz, double diag) {
+  using V = simd::Vec;
+  constexpr std::size_t E = sizeof(T) / sizeof(double);
+  constexpr std::size_t W = simd::kLanes;
   static_assert(W % E == 0, "vector width must hold whole grid points");
   const int rr = R > 0 ? R : r;
   const long ux = static_cast<long>(E);
   const long uy = static_cast<long>(E) * snx;
   const long uz = static_cast<long>(E) * snxny;
-  const Real* rin = reinterpret_cast<const Real*>(in);
-  Real* rout = reinterpret_cast<Real*>(out);
+  const double* rin = reinterpret_cast<const double*>(in);
+  double* rout = reinterpret_cast<double*>(out);
   const std::size_t rbeg = (base + x0) * E;
   const std::size_t rlen = (x1 - x0) * E;
   const std::size_t rvec = rlen - rlen % W;
   for (std::size_t i = 0; i < rvec; i += W) {
-    const Real* q = rin + rbeg + i;
-    V sum = diag * simd::vload<Real>(q);
+    const double* q = rin + rbeg + i;
+    V sum = diag * simd::vload(q);
     for (int k = 1; k <= rr; ++k) {
       sum += cx[k] *
-             (simd::vload<Real>(q + k * ux) + simd::vload<Real>(q - k * ux));
+             (simd::vload(q + k * ux) + simd::vload(q - k * ux));
       sum += cy[k] *
-             (simd::vload<Real>(q + k * uy) + simd::vload<Real>(q - k * uy));
+             (simd::vload(q + k * uy) + simd::vload(q - k * uy));
       sum += cz[k] *
-             (simd::vload<Real>(q + k * uz) + simd::vload<Real>(q - k * uz));
+             (simd::vload(q + k * uz) + simd::vload(q - k * uz));
     }
-    simd::vstore<Real>(rout + rbeg + i, sum);
+    simd::vstore(rout + rbeg + i, sum);
   }
   // Tail: whole grid points that don't fill a vector go through the
   // scalar kernel (rvec is a multiple of E because W is).
@@ -249,8 +214,8 @@ template <typename T>
 inline void stencil_row_xwrap(const T* in, T* out, std::size_t base,
                               std::size_t x0, std::size_t x1, long snx,
                               long snxny, int r, const std::size_t* wx,
-                              const la::real_t<T>* cx, const la::real_t<T>* cy,
-                              const la::real_t<T>* cz, la::real_t<T> diag) {
+                              const double* cx, const double* cy,
+                              const double* cz, double diag) {
   for (std::size_t ix = x0; ix < x1; ++ix) {
     const T* p = in + base + ix;
     T sum = diag * p[0];
@@ -283,10 +248,8 @@ stencil_row_wrapped_seg(const T* in, T* out, std::size_t nx,
                                     const std::size_t* wx,
                                     const std::size_t* wy,
                                     const std::size_t* wz,
-                                    const la::real_t<T>* cx,
-                                    const la::real_t<T>* cy,
-                                    const la::real_t<T>* cz,
-                                    la::real_t<T> diag) {
+                                    const double* cx, const double* cy,
+                                    const double* cz, double diag) {
   for (std::size_t ix = x0; ix < x1; ++ix) {
     T sum = diag * in[base + ix];
     for (int k = 1; k <= r; ++k) {
@@ -309,8 +272,8 @@ inline void stencil_row_wrapped(const T* in, T* out, std::size_t nx,
                                 std::size_t ny, std::size_t iy, std::size_t iz,
                                 std::size_t base, int r, const std::size_t* wx,
                                 const std::size_t* wy, const std::size_t* wz,
-                                const la::real_t<T>* cx, const la::real_t<T>* cy,
-                                const la::real_t<T>* cz, la::real_t<T> diag) {
+                                const double* cx, const double* cy,
+                                const double* cz, double diag) {
   stencil_row_wrapped_seg<T>(in, out, nx, ny, iy, iz, base, 0, nx, r, wx, wy,
                              wz, cx, cy, cz, diag);
 }
@@ -333,49 +296,46 @@ stencil_row_wrapped_simd(const T* in, T* out, std::size_t nx,
                                      const std::size_t* wx,
                                      const std::size_t* wy,
                                      const std::size_t* wz,
-                                     const la::real_t<T>* cx,
-                                     const la::real_t<T>* cy,
-                                     const la::real_t<T>* cz,
-                                     la::real_t<T> diag) {
-  using Real = la::real_t<T>;
-  using V = simd::Vec<Real>;
-  constexpr std::size_t E = sizeof(T) / sizeof(Real);
-  constexpr std::size_t W = simd::lanes<Real>::value;
+                                     const double* cx, const double* cy,
+                                     const double* cz, double diag) {
+  using V = simd::Vec;
+  constexpr std::size_t E = sizeof(T) / sizeof(double);
+  constexpr std::size_t W = simd::kLanes;
   const int rr = R > 0 ? R : r;
   if (x_lo > 0)
     stencil_row_wrapped_seg<T>(in, out, nx, ny, iy, iz, base, 0, x_lo, r, wx,
                                wy, wz, cx, cy, cz, diag);
   // Row base pointers of the wrapped y/z neighbors, in the real view.
-  const Real* rin = reinterpret_cast<const Real*>(in);
-  Real* rout = reinterpret_cast<Real*>(out);
-  const Real* ybp[7];
-  const Real* ybm[7];
-  const Real* zbp[7];
-  const Real* zbm[7];
+  const double* rin = reinterpret_cast<const double*>(in);
+  double* rout = reinterpret_cast<double*>(out);
+  const double* ybp[7];
+  const double* ybm[7];
+  const double* zbp[7];
+  const double* zbm[7];
   for (int k = 1; k <= rr; ++k) {
     ybp[k] = rin + E * (nx * (wy[static_cast<long>(iy) + k] + ny * iz));
     ybm[k] = rin + E * (nx * (wy[static_cast<long>(iy) - k] + ny * iz));
     zbp[k] = rin + E * (nx * (iy + ny * wz[static_cast<long>(iz) + k]));
     zbm[k] = rin + E * (nx * (iy + ny * wz[static_cast<long>(iz) - k]));
   }
-  const Real* rx = rin + base * E;
-  Real* ro = rout + base * E;
+  const double* rx = rin + base * E;
+  double* ro = rout + base * E;
   const std::size_t rlo = x_lo * E;
   const std::size_t rlen = (x_hi - x_lo) * E;
   const std::size_t rvec = rlen - rlen % W;
   const long ux = static_cast<long>(E);
   for (std::size_t i = rlo; i < rlo + rvec; i += W) {
-    const Real* q = rx + i;
-    V sum = diag * simd::vload<Real>(q);
+    const double* q = rx + i;
+    V sum = diag * simd::vload(q);
     for (int k = 1; k <= rr; ++k) {
       sum += cx[k] *
-             (simd::vload<Real>(q + k * ux) + simd::vload<Real>(q - k * ux));
+             (simd::vload(q + k * ux) + simd::vload(q - k * ux));
       sum += cy[k] *
-             (simd::vload<Real>(ybp[k] + i) + simd::vload<Real>(ybm[k] + i));
+             (simd::vload(ybp[k] + i) + simd::vload(ybm[k] + i));
       sum += cz[k] *
-             (simd::vload<Real>(zbp[k] + i) + simd::vload<Real>(zbm[k] + i));
+             (simd::vload(zbp[k] + i) + simd::vload(zbm[k] + i));
     }
-    simd::vstore<Real>(ro + i, sum);
+    simd::vstore(ro + i, sum);
   }
   if (x_lo + rvec / E < nx)
     stencil_row_wrapped_seg<T>(in, out, nx, ny, iy, iz, base,
@@ -388,9 +348,8 @@ using WrappedRowFn = void (*)(const T*, T*, std::size_t, std::size_t,
                               std::size_t, std::size_t, std::size_t,
                               std::size_t, std::size_t, int,
                               const std::size_t*, const std::size_t*,
-                              const std::size_t*, const la::real_t<T>*,
-                              const la::real_t<T>*, const la::real_t<T>*,
-                              la::real_t<T>);
+                              const std::size_t*, const double*, const double*,
+                              const double*, double);
 
 template <typename T>
 WrappedRowFn<T> pick_wrapped_row_simd(int r) {
@@ -416,9 +375,9 @@ WrappedRowFn<T> pick_wrapped_row_simd(int r) {
 template <typename T>
 inline void fused_row_epilogue(const T* in, T* out, const FusedTerms<T>& t,
                                std::size_t i0, std::size_t i1) {
-  const la::real_t<T> alpha = t.alpha;
+  const double alpha = t.alpha;
   if (t.vdiag != nullptr) {
-    const la::real_t<T>* v = t.vdiag;
+    const double* v = t.vdiag;
     if (t.extra != nullptr) {
       for (std::size_t i = i0; i < i1; ++i)
         out[i] = alpha * out[i] + la::cmul(t.beta * v[i] + t.shift, in[i]) +
@@ -462,12 +421,6 @@ class StencilLaplacian {
       cz_[k] = coeffs_[k] * ihz2;
     }
     diag_ = cx_[0] + cy_[0] + cz_[0];
-    // FP32 copies for the mixed-precision sweeps: rounded once here, so
-    // every float apply sees one fixed coefficient table.
-    cx_f_.assign(cx_.begin(), cx_.end());
-    cy_f_.assign(cy_.begin(), cy_.end());
-    cz_f_.assign(cz_.begin(), cz_.end());
-    diag_f_ = static_cast<float>(diag_);
   }
 
   [[nodiscard]] const Grid3D& grid() const { return grid_; }
@@ -552,22 +505,10 @@ class StencilLaplacian {
     const std::size_t* wx = wrap_x_.data() + r;
     const std::size_t* wy = wrap_y_.data() + r;
     const std::size_t* wz = wrap_z_.data() + r;
-    using Real = la::real_t<T>;
-    const Real* cx;
-    const Real* cy;
-    const Real* cz;
-    Real diag;
-    if constexpr (std::is_same_v<Real, float>) {
-      cx = cx_f_.data();
-      cy = cy_f_.data();
-      cz = cz_f_.data();
-      diag = diag_f_;
-    } else {
-      cx = cx_.data();
-      cy = cy_.data();
-      cz = cz_.data();
-      diag = diag_;
-    }
+    const double* cx = cx_.data();
+    const double* cy = cy_.data();
+    const double* cz = cz_.data();
+    const double diag = diag_;
     const T* pin = in.data();
     T* pout = out.data();
 
@@ -658,15 +599,15 @@ class StencilLaplacian {
           const std::size_t base = nx * (iy + ny * iz);
           // z and y neighbor plane/row offsets are shared across the x row.
           for (std::size_t ix = 0; ix < nx; ++ix) {
-            T sum = static_cast<la::real_t<T>>(diag_) * in[base + ix];
+            T sum = diag_ * in[base + ix];
             for (int k = 1; k <= r; ++k) {
-              sum += static_cast<la::real_t<T>>(cx_[k]) *
+              sum += cx_[k] *
                      (in[base + wx[static_cast<long>(ix) + k]] +
                       in[base + wx[static_cast<long>(ix) - k]]);
-              sum += static_cast<la::real_t<T>>(cy_[k]) *
+              sum += cy_[k] *
                      (in[ix + nx * (wy[static_cast<long>(iy) + k] + ny * iz)] +
                       in[ix + nx * (wy[static_cast<long>(iy) - k] + ny * iz)]);
-              sum += static_cast<la::real_t<T>>(cz_[k]) *
+              sum += cz_[k] *
                      (in[ix + nx * (iy + ny * wz[static_cast<long>(iz) + k])] +
                       in[ix + nx * (iy + ny * wz[static_cast<long>(iz) - k])]);
             }
@@ -761,12 +702,9 @@ class StencilLaplacian {
   std::vector<double> coeffs_;
   std::vector<std::size_t> wrap_x_, wrap_y_, wrap_z_;
   std::vector<double> cx_, cy_, cz_;
-  std::vector<float> cx_f_, cy_f_, cz_f_;
   double diag_ = 0.0;
-  float diag_f_ = 0.0f;
-  // Per-instance apply tuning, sampled from the environment at
-  // construction (process defaults) and overridable per operator so
-  // concurrent in-process jobs never share these knobs.
+  // Per-instance apply tuning, set per operator so concurrent in-process
+  // runs never share these knobs.
   bool fused_ = true;
   std::size_t tile_y_ = kDefaultFusedTileY;
   std::size_t tile_z_ = kDefaultFusedTileZ;

@@ -21,7 +21,6 @@ void Hamiltonian::set_local_potential(std::vector<double> v) {
 }
 
 void Hamiltonian::refresh_bounds() {
-  v_loc_f_.assign(v_loc_.begin(), v_loc_.end());
   const auto [vmin_it, vmax_it] =
       std::minmax_element(v_loc_.begin(), v_loc_.end());
   const double kinetic_max = -0.5 * lap_.min_eigenvalue_bound();

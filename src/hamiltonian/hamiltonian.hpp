@@ -18,7 +18,6 @@
 #include <complex>
 #include <memory>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "grid/stencil.hpp"
@@ -104,20 +103,26 @@ class Hamiltonian {
     apply_unchecked<cplx>(in, out, cplx{-lambda, omega});
   }
 
+  /// Block form: one fused sweep per column + one nonlocal gather-GEMM,
+  /// or the seed multi-sweep reference when fused is off.
   void apply_shifted_block(const la::Matrix<cplx>& in, la::Matrix<cplx>& out,
                            double lambda, double omega) const {
-    apply_shifted_block_impl<cplx>(in, out, cplx{-lambda, omega});
-  }
-
-  /// FP32 variant — the inner kernel of the mixed-precision Sternheimer
-  /// solvers. Same schedule as the cplx overload: float stencil
-  /// coefficients, float local potential copy, float nonlocal scaling.
-  void apply_shifted_block(const la::Matrix<la::cplxf>& in,
-                           la::Matrix<la::cplxf>& out, double lambda,
-                           double omega) const {
-    apply_shifted_block_impl<la::cplxf>(
-        in, out,
-        la::cplxf{static_cast<float>(-lambda), static_cast<float>(omega)});
+    RSRPA_REQUIRE(in.rows() == grid().size() && out.rows() == in.rows() &&
+                  out.cols() == in.cols());
+    const cplx shift{-lambda, omega};
+    if (!fused_) {
+      for (std::size_t j = 0; j < in.cols(); ++j) {
+        apply_reference<cplx>(in.col(j), out.col(j));
+        auto icol = in.col(j);
+        auto ocol = out.col(j);
+        for (std::size_t i = 0; i < icol.size(); ++i)
+          ocol[i] += la::cmul(shift, icol[i]);
+      }
+      return;
+    }
+    for (std::size_t j = 0; j < in.cols(); ++j)
+      fused_sweep<cplx>(in.col(j), out.col(j), shift);
+    nonlocal_.apply_add_block<cplx>(in, out);
   }
 
   /// Fused Chebyshev three-term step:
@@ -156,9 +161,9 @@ class Hamiltonian {
     }
     for (std::size_t j = 0; j < in.cols(); ++j) {
       grid::FusedTerms<T> t;
-      t.alpha = static_cast<la::real_t<T>>(-0.5 * c1);
-      t.vdiag = local_potential_as<T>();
-      t.beta = static_cast<la::real_t<T>>(c1);
+      t.alpha = -0.5 * c1;
+      t.vdiag = v_loc_.data();
+      t.beta = c1;
       t.shift = static_cast<T>(c0);
       if (extra != nullptr) {
         t.extra = extra->col(j).data();
@@ -187,48 +192,15 @@ class Hamiltonian {
         "in after writing out)");
   }
 
-  /// Local potential at the working precision of T: the double table for
-  /// double/cplx sweeps, the float copy for FP32 sweeps.
-  template <typename T>
-  [[nodiscard]] const la::real_t<T>* local_potential_as() const {
-    if constexpr (std::is_same_v<la::real_t<T>, float>)
-      return v_loc_f_.data();
-    else
-      return v_loc_.data();
-  }
-
   /// One fused sweep: out = -1/2 Lap(in) + (V_loc + shift) . in.
   template <typename T>
   void fused_sweep(std::span<const T> in, std::span<T> out, T shift) const {
     grid::FusedTerms<T> t;
-    t.alpha = la::real_t<T>{-0.5};
-    t.vdiag = local_potential_as<T>();
-    t.beta = la::real_t<T>{1};
+    t.alpha = -0.5;
+    t.vdiag = v_loc_.data();
+    t.beta = 1.0;
     t.shift = shift;
     lap_.apply_fused<T>(in, out, t);
-  }
-
-  /// Shared shifted block apply over the working scalar C (cplx or
-  /// cplxf): one fused sweep per column + one nonlocal gather-GEMM, or
-  /// the seed multi-sweep reference when fused is off.
-  template <typename C>
-  void apply_shifted_block_impl(const la::Matrix<C>& in, la::Matrix<C>& out,
-                                C shift) const {
-    RSRPA_REQUIRE(in.rows() == grid().size() && out.rows() == in.rows() &&
-                  out.cols() == in.cols());
-    if (!fused_) {
-      for (std::size_t j = 0; j < in.cols(); ++j) {
-        apply_reference<C>(in.col(j), out.col(j));
-        auto icol = in.col(j);
-        auto ocol = out.col(j);
-        for (std::size_t i = 0; i < icol.size(); ++i)
-          ocol[i] += la::cmul(shift, icol[i]);
-      }
-      return;
-    }
-    for (std::size_t j = 0; j < in.cols(); ++j)
-      fused_sweep<C>(in.col(j), out.col(j), shift);
-    nonlocal_.apply_add_block<C>(in, out);
   }
 
   /// Shared single-column path: fused sweep + nonlocal, or the seed
@@ -256,8 +228,7 @@ class Hamiltonian {
     lap_.apply_reference<T>(in, out);
     const std::size_t n = in.size();
     for (std::size_t i = 0; i < n; ++i)
-      out[i] = static_cast<la::real_t<T>>(-0.5) * out[i] +
-               static_cast<la::real_t<T>>(v_loc_[i]) * in[i];
+      out[i] = -0.5 * out[i] + v_loc_[i] * in[i];
     nonlocal_.apply_add<T>(in, out);
   }
 
@@ -267,9 +238,6 @@ class Hamiltonian {
   Crystal crystal_;
   ModelParams params_;
   std::vector<double> v_loc_;
-  // FP32 copy of the local potential for the mixed-precision sweeps,
-  // rebuilt whenever v_loc_ changes (refresh_bounds).
-  std::vector<float> v_loc_f_;
   NonlocalProjectors nonlocal_;
   bool fused_ = true;
   double upper_bound_ = 0.0;

@@ -44,10 +44,10 @@ class NonlocalProjectors {
       // Real scales, as in the block path below: never a complex product.
       T overlap{};
       for (std::size_t k = kb; k < ke; ++k)
-        overlap += static_cast<la::real_t<T>>(val_[k]) * in[idx_[k]];
-      overlap *= static_cast<la::real_t<T>>(gamma_[a] * dv_ * scale);
+        overlap += val_[k] * in[idx_[k]];
+      overlap *= gamma_[a] * dv_ * scale;
       for (std::size_t k = kb; k < ke; ++k)
-        out[idx_[k]] += static_cast<la::real_t<T>>(val_[k]) * overlap;
+        out[idx_[k]] += val_[k] * overlap;
     }
   }
 
@@ -76,17 +76,15 @@ class NonlocalProjectors {
       const std::size_t kb = offsets_[a], ke = offsets_[a + 1];
       // Projector values stay real (not cast to T): a real * complex
       // scale is two multiplies, a complex * complex product is four.
-      // real_t<T> narrows them to float for the FP32 sweeps.
       for (std::size_t k = kb; k < ke; ++k) {
-        const la::real_t<T> v = static_cast<la::real_t<T>>(val_[k]);
+        const double v = val_[k];
         const T* row = pin + idx_[k];
         for (std::size_t j = 0; j < s; ++j) ov[j] += v * row[j * n];
       }
-      const la::real_t<T> g =
-          static_cast<la::real_t<T>>(gamma_[a] * dv_ * scale);
+      const double g = gamma_[a] * dv_ * scale;
       for (std::size_t j = 0; j < s; ++j) ov[j] *= g;
       for (std::size_t k = kb; k < ke; ++k) {
-        const la::real_t<T> v = static_cast<la::real_t<T>>(val_[k]);
+        const double v = val_[k];
         T* row = pout + idx_[k];
         for (std::size_t j = 0; j < s; ++j) row[j * n] += v * ov[j];
       }

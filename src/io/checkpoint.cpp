@@ -151,9 +151,6 @@ void hash_system(Fnv1a& f, const dft::KsSystem& sys) {
 void hash_sternheimer_options(Fnv1a& f, const rpa::SternheimerOptions& st) {
   f.f64(st.tol);
   f.i64(st.max_iter);
-  // Precision policy joins the fingerprint: a mixed run must never resume
-  // an fp64 checkpoint (or vice versa) — the iterate histories differ.
-  f.i64(static_cast<long long>(st.precision));
   f.b(st.dynamic_block);
   f.i64(st.fixed_block);
   f.i64(st.max_block);

@@ -39,8 +39,9 @@
 namespace rsrpa::io {
 
 /// Bump when a field changes meaning; never reuse a name for a different
-/// quantity (same contract as the run-report schema).
-inline constexpr std::uint32_t kRunCheckpointVersion = 1;
+/// quantity (same contract as the run-report schema). Version 2 dropped
+/// the precision policy from the run fingerprint.
+inline constexpr std::uint32_t kRunCheckpointVersion = 2;
 
 /// Everything the drivers need to continue a quadrature sweep after the
 /// last completed point, plus the accumulators that keep the final run

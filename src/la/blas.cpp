@@ -115,10 +115,7 @@ T chunk_dot_scalar(const T* x, const T* y, std::size_t len) {
 // the result is bitwise equal to chunk_dot_scalar. GCC does not
 // vectorize chunk_dot_scalar's complex chains; this form runs a 256-long
 // chunk about 2.5x faster.
-template <typename R>
-struct Avx;
-template <>
-struct Avx<double> {
+struct Avx {
   using V = __m256d;
   static constexpr std::size_t kL = 2;  // complex lanes per vector
   static V load(const cplx* p) {
@@ -136,31 +133,12 @@ struct Avx<double> {
   static V fmaddsub(V a, V b, V c) { return _mm256_fmaddsub_pd(a, b, c); }
   static V fmsubadd(V a, V b, V c) { return _mm256_fmsubadd_pd(a, b, c); }
 };
-template <>
-struct Avx<float> {
-  using V = __m256;
-  static constexpr std::size_t kL = 4;
-  static V load(const cplxf* p) {
-    return _mm256_loadu_ps(reinterpret_cast<const float*>(p));
-  }
-  static void store(cplxf* p, V v) {
-    _mm256_storeu_ps(reinterpret_cast<float*>(p), v);
-  }
-  static V zero() { return _mm256_setzero_ps(); }
-  static V dup_re(V v) { return _mm256_moveldup_ps(v); }
-  static V dup_im(V v) { return _mm256_movehdup_ps(v); }
-  static V swap(V v) { return _mm256_permute_ps(v, 0xB1); }
-  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
-  static V add(V a, V b) { return _mm256_add_ps(a, b); }
-  static V fmaddsub(V a, V b, V c) { return _mm256_fmaddsub_ps(a, b, c); }
-  static V fmsubadd(V a, V b, V c) { return _mm256_fmsubadd_ps(a, b, c); }
-};
 
-template <typename T, Conj kConj>
-T chunk_dot_avx(const T* x, const T* y, std::size_t len) {
-  using A = Avx<typename T::value_type>;
+template <Conj kConj>
+cplx chunk_dot_avx(const cplx* x, const cplx* y, std::size_t len) {
+  using A = Avx;
   constexpr std::size_t kV = 8 / A::kL;  // accumulator vectors
-  typename A::V acc[kV];
+  A::V acc[kV];
   for (std::size_t v = 0; v < kV; ++v) acc[v] = A::zero();
   std::size_t p = 0;
   for (; p + 8 <= len; p += 8)
@@ -174,9 +152,9 @@ T chunk_dot_avx(const T* x, const T* y, std::size_t len) {
                                            : A::fmaddsub(A::dup_re(xv), yv, t);
       acc[v] = A::add(acc[v], prod);
     }
-  T s[8];
+  cplx s[8];
   for (std::size_t v = 0; v < kV; ++v) A::store(s + v * A::kL, acc[v]);
-  for (; p < len; ++p) s[0] += dot_term<T, kConj>(x[p], y[p]);
+  for (; p < len; ++p) s[0] += dot_term<cplx, kConj>(x[p], y[p]);
   return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 #endif
@@ -184,8 +162,8 @@ T chunk_dot_avx(const T* x, const T* y, std::size_t len) {
 template <typename T, Conj kConj>
 T chunk_dot(const T* x, const T* y, std::size_t len) {
 #if RSRPA_LA_AVX2
-  if constexpr (!std::is_same_v<T, double>)
-    return chunk_dot_avx<T, kConj>(x, y, len);
+  if constexpr (std::is_same_v<T, cplx>)
+    return chunk_dot_avx<kConj>(x, y, len);
   else
 #endif
     return chunk_dot_scalar<T, kConj>(x, y, len);
@@ -253,13 +231,6 @@ cplx dot_u(std::span<const cplx> x, std::span<const cplx> y) {
   return sum;
 }
 
-cplxf dot_u(std::span<const cplxf> x, std::span<const cplxf> y) {
-  RSRPA_REQUIRE(x.size() == y.size());
-  cplxf sum{};
-  for (std::size_t i = 0; i < x.size(); ++i) sum += cmul(x[i], y[i]);
-  return sum;
-}
-
 cplx dot_c(std::span<const cplx> x, std::span<const cplx> y) {
   RSRPA_REQUIRE(x.size() == y.size());
   cplx sum{};
@@ -279,23 +250,12 @@ double nrm2(std::span<const cplx> x) {
   return std::sqrt(sum);
 }
 
-double nrm2(std::span<const cplxf> x) {
-  double sum = 0.0;
-  for (const cplxf& v : x) sum += static_cast<double>(std::norm(v));
-  return std::sqrt(sum);
-}
-
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   RSRPA_REQUIRE(x.size() == y.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 void axpy(cplx alpha, std::span<const cplx> x, std::span<cplx> y) {
-  RSRPA_REQUIRE(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += cmul(alpha, x[i]);
-}
-
-void axpy(cplxf alpha, std::span<const cplxf> x, std::span<cplxf> y) {
   RSRPA_REQUIRE(x.size() == y.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += cmul(alpha, x[i]);
 }
@@ -308,10 +268,6 @@ void scal(cplx alpha, std::span<cplx> x) {
   for (cplx& v : x) v = cmul(v, alpha);
 }
 
-void scal(cplxf alpha, std::span<cplxf> x) {
-  for (cplxf& v : x) v = cmul(v, alpha);
-}
-
 void gemm_nn(double alpha, const Matrix<double>& a, const Matrix<double>& b,
              double beta, Matrix<double>& c) {
   gemm_nn_impl(alpha, a, b, beta, c);
@@ -319,11 +275,6 @@ void gemm_nn(double alpha, const Matrix<double>& a, const Matrix<double>& b,
 
 void gemm_nn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
              cplx beta, Matrix<cplx>& c) {
-  gemm_nn_impl(alpha, a, b, beta, c);
-}
-
-void gemm_nn(cplxf alpha, const Matrix<cplxf>& a, const Matrix<cplxf>& b,
-             cplxf beta, Matrix<cplxf>& c) {
   gemm_nn_impl(alpha, a, b, beta, c);
 }
 
@@ -337,11 +288,6 @@ void gemm_tn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
   gemm_tn_impl<cplx, Conj::No>(alpha, a, b, beta, c);
 }
 
-void gemm_tn(cplxf alpha, const Matrix<cplxf>& a, const Matrix<cplxf>& b,
-             cplxf beta, Matrix<cplxf>& c) {
-  gemm_tn_impl<cplxf, Conj::No>(alpha, a, b, beta, c);
-}
-
 void gemm_hn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
              cplx beta, Matrix<cplx>& c) {
   gemm_tn_impl<cplx, Conj::Yes>(alpha, a, b, beta, c);
@@ -349,7 +295,6 @@ void gemm_hn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
 
 double norm_fro(const Matrix<double>& a) { return norm_fro_impl(a); }
 double norm_fro(const Matrix<cplx>& a) { return norm_fro_impl(a); }
-double norm_fro(const Matrix<cplxf>& a) { return norm_fro_impl(a); }
 
 double norm_max(const Matrix<double>& a) {
   double mx = 0.0;

@@ -30,22 +30,18 @@ namespace rsrpa::la {
 double dot(std::span<const double> x, std::span<const double> y);
 /// Unconjugated bilinear product x^T y for complex vectors.
 cplx dot_u(std::span<const cplx> x, std::span<const cplx> y);
-cplxf dot_u(std::span<const cplxf> x, std::span<const cplxf> y);
 /// Conjugated inner product x^H y.
 cplx dot_c(std::span<const cplx> x, std::span<const cplx> y);
 
 double nrm2(std::span<const double> x);
 double nrm2(std::span<const cplx> x);
-double nrm2(std::span<const cplxf> x);
 
 /// y += alpha * x
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 void axpy(cplx alpha, std::span<const cplx> x, std::span<cplx> y);
-void axpy(cplxf alpha, std::span<const cplxf> x, std::span<cplxf> y);
 
 void scal(double alpha, std::span<double> x);
 void scal(cplx alpha, std::span<cplx> x);
-void scal(cplxf alpha, std::span<cplxf> x);
 
 // ---------- BLAS-3 ----------
 
@@ -54,8 +50,6 @@ void gemm_nn(double alpha, const Matrix<double>& a, const Matrix<double>& b,
              double beta, Matrix<double>& c);
 void gemm_nn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
              cplx beta, Matrix<cplx>& c);
-void gemm_nn(cplxf alpha, const Matrix<cplxf>& a, const Matrix<cplxf>& b,
-             cplxf beta, Matrix<cplxf>& c);
 
 /// C = alpha * A^T * B + beta * C    (A: k x m, B: k x n, C: m x n)
 /// For complex T this is the UNCONJUGATED transpose.
@@ -63,8 +57,6 @@ void gemm_tn(double alpha, const Matrix<double>& a, const Matrix<double>& b,
              double beta, Matrix<double>& c);
 void gemm_tn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
              cplx beta, Matrix<cplx>& c);
-void gemm_tn(cplxf alpha, const Matrix<cplxf>& a, const Matrix<cplxf>& b,
-             cplxf beta, Matrix<cplxf>& c);
 
 /// C = alpha * A^H * B + beta * C    (conjugated transpose)
 void gemm_hn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
@@ -73,7 +65,6 @@ void gemm_hn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
 /// Frobenius norm.
 double norm_fro(const Matrix<double>& a);
 double norm_fro(const Matrix<cplx>& a);
-double norm_fro(const Matrix<cplxf>& a);
 
 /// Largest absolute entry.
 double norm_max(const Matrix<double>& a);

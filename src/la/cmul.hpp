@@ -26,8 +26,7 @@
 // non-finite result, so a non-finite matvec still surfaces as a
 // non-finite residual.
 //
-// The real overloads let one kernel template serve double, cplx and
-// cplxf.
+// The real overloads let one kernel template serve double and cplx.
 #pragma once
 
 #include <cmath>
@@ -35,38 +34,36 @@
 
 namespace rsrpa::la {
 
-#if defined(FP_FAST_FMA) && defined(FP_FAST_FMAF)
+#if defined(FP_FAST_FMA)
 // Vector kernels that reproduce these products (la/blas.cpp) test this.
 #define RSRPA_CMUL_FMA 1
-template <typename R>
-inline std::complex<R> cmul(std::complex<R> a, std::complex<R> b) {
+inline std::complex<double> cmul(std::complex<double> a,
+                                 std::complex<double> b) {
   return {std::fma(a.real(), b.real(), -(a.imag() * b.imag())),
           std::fma(a.real(), b.imag(), a.imag() * b.real())};
 }
 
-template <typename R>
-inline std::complex<R> cmul_conj(std::complex<R> a, std::complex<R> b) {
+inline std::complex<double> cmul_conj(std::complex<double> a,
+                                      std::complex<double> b) {
   return {std::fma(a.real(), b.real(), a.imag() * b.imag()),
           std::fma(a.real(), b.imag(), -(a.imag() * b.real()))};
 }
 #else
 #define RSRPA_CMUL_FMA 0
-template <typename R>
-inline std::complex<R> cmul(std::complex<R> a, std::complex<R> b) {
+inline std::complex<double> cmul(std::complex<double> a,
+                                 std::complex<double> b) {
   return {a.real() * b.real() - a.imag() * b.imag(),
           a.real() * b.imag() + a.imag() * b.real()};
 }
 
-template <typename R>
-inline std::complex<R> cmul_conj(std::complex<R> a, std::complex<R> b) {
+inline std::complex<double> cmul_conj(std::complex<double> a,
+                                      std::complex<double> b) {
   return {a.real() * b.real() + a.imag() * b.imag(),
           a.real() * b.imag() - a.imag() * b.real()};
 }
 #endif
 
 inline double cmul(double a, double b) { return a * b; }
-inline float cmul(float a, float b) { return a * b; }
 inline double cmul_conj(double a, double b) { return a * b; }
-inline float cmul_conj(float a, float b) { return a * b; }
 
 }  // namespace rsrpa::la

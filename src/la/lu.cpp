@@ -92,6 +92,5 @@ T Lu<T>::det() const {
 
 template class Lu<double>;
 template class Lu<cplx>;
-template class Lu<cplxf>;
 
 }  // namespace rsrpa::la

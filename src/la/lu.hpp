@@ -64,6 +64,5 @@ Matrix<T> lu_solve(const Matrix<T>& a, const Matrix<T>& b) {
 
 extern template class Lu<double>;
 extern template class Lu<cplx>;
-extern template class Lu<cplxf>;
 
 }  // namespace rsrpa::la

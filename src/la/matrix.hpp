@@ -17,26 +17,6 @@
 namespace rsrpa::la {
 
 using cplx = std::complex<double>;
-using cplxf = std::complex<float>;
-
-/// Underlying real scalar of T: double -> double, complex<float> -> float.
-/// The stencil and Hamiltonian kernels act with purely real coefficients,
-/// so they carry their coefficient tables in real_t<T> and treat complex
-/// data as an even-length real array where profitable.
-template <typename T>
-struct real_of {
-  using type = double;
-};
-template <>
-struct real_of<float> {
-  using type = float;
-};
-template <>
-struct real_of<std::complex<float>> {
-  using type = float;
-};
-template <typename T>
-using real_t = typename real_of<T>::type;
 
 template <typename T>
 class Matrix {

@@ -67,15 +67,6 @@ inline constexpr const char* kSlqOmegaEstimate = "slq_omega_estimate";
 inline constexpr const char* kSsaBasisFrozen = "ssa_basis_frozen";
 inline constexpr const char* kSsaPointElided = "ssa_point_elided";
 inline constexpr const char* kSsaFallback = "ssa_fallback";
-// Mixed-precision contract (common/precision.hpp). precision_clamped
-// fires once per run when the requested tolerance is below what the FP32
-// inner solver can achieve (the inner tolerance is clamped at
-// sqrt(eps_f32); FP64 residual replacement carries the remainder).
-// precision_fallback fires when a Chebyshev filter call's scaled spectrum
-// bounds would underflow in FP32 and the call reverts to the FP64
-// workspace. Both live in the result log — deterministic.
-inline constexpr const char* kPrecisionClamped = "precision_clamped";
-inline constexpr const char* kPrecisionFallback = "precision_fallback";
 }  // namespace events
 
 struct Event {

@@ -104,8 +104,6 @@ Json to_json(const rpa::SternheimerStats& stats) {
   j["block_size_chunks"] = std::move(hist);
   j["total_chunks"] = stats.total_chunks;
   j["matvec_columns"] = stats.matvec_columns;
-  if (stats.matvec_columns_f32 > 0)
-    j["matvec_columns_f32"] = stats.matvec_columns_f32;
   if (stats.matvec_bytes > 0.0 || stats.matvec_flops > 0.0) {
     j["matvec_bytes"] = stats.matvec_bytes;
     j["matvec_flops"] = stats.matvec_flops;
@@ -317,8 +315,6 @@ rpa::SternheimerStats sternheimer_stats_from_json(const Json& j) {
         static_cast<int>(count.as_int());
   stats.total_chunks = j.at("total_chunks").as_int();
   stats.matvec_columns = j.at("matvec_columns").as_int();
-  if (const Json* c32 = j.find("matvec_columns_f32"))
-    stats.matvec_columns_f32 = c32->as_int();
   if (const Json* b = j.find("matvec_bytes")) stats.matvec_bytes = b->as_double();
   if (const Json* f = j.find("matvec_flops")) stats.matvec_flops = f->as_double();
   stats.seconds = j.at("seconds").as_double();

@@ -27,7 +27,6 @@ void SternheimerStats::merge(const solver::DynamicBlockReport& rep) {
     block_size_chunks[size] += count;
   total_chunks += static_cast<long>(rep.chunks.size());
   matvec_columns += rep.total_matvec_columns;
-  matvec_columns_f32 += rep.total_matvec_columns_f32;
   matvec_bytes += rep.total_matvec_bytes;
   matvec_flops += rep.total_matvec_flops;
   seconds += rep.total_seconds;
@@ -46,7 +45,6 @@ void SternheimerStats::merge(const SternheimerStats& other, long col0) {
     block_size_chunks[size] += count;
   total_chunks += other.total_chunks;
   matvec_columns += other.matvec_columns;
-  matvec_columns_f32 += other.matvec_columns_f32;
   matvec_bytes += other.matvec_bytes;
   matvec_flops += other.matvec_flops;
   seconds += other.seconds;
@@ -99,13 +97,6 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
     dopts.solver.matvec_bytes_per_column = cost.bytes_per_column;
     dopts.solver.matvec_flops_per_column = cost.flops_per_column;
   }
-  if (opts_.precision == common::Precision::kMixed) {
-    dopts.solver.precision = common::Precision::kMixed;
-    const solver::ApplyCostModel cost32 =
-        solver::shifted_apply_cost(h, h.fused_apply(), 4.0);
-    dopts.solver.matvec_bytes_per_column_f32 = cost32.bytes_per_column;
-    dopts.solver.matvec_flops_per_column_f32 = cost32.flops_per_column;
-  }
   solver::ApplyCounters call_counters;
   for (std::size_t j = 0; j < sys_.n_occ(); ++j) {
     const double lambda = sys_.eigenvalues[j];
@@ -138,17 +129,6 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
     // every solve runs the fused single-sweep pipeline. The op is
     // stateless, so the concurrent chunk solves share it.
     const solver::ShiftedHamiltonianOp ham_op(h, lambda, omega);
-    if (opts_.precision == common::Precision::kMixed) {
-      // FP32 inner kernel over the SAME shifted operator; its columns land
-      // in the report's columns_f32 with the elem_bytes = 4 cost model.
-      // Fault injection stays on the FP64 outer applies — the ladder's
-      // recovery semantics are defined at the residual-replacement
-      // boundary, which is where injected faults must surface.
-      dopts.solver.mixed_apply = [&ham_op](const la::Matrix<la::cplxf>& in,
-                                           la::Matrix<la::cplxf>& o) {
-        ham_op.apply_f32(in, o);
-      };
-    }
     // Faults target this orbital's solve or none. The stream is derived
     // from the orbital index, and each chunk derives its own from it, so
     // fault placement is independent of the thread schedule and of other
@@ -186,7 +166,6 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
                {{"omega", omega},
                 {"applies", static_cast<double>(call_counters.applies)},
                 {"columns", static_cast<double>(call_counters.columns)},
-                {"columns_f32", static_cast<double>(call_counters.columns_f32)},
                 {"bytes", call_counters.bytes},
                 {"flops", call_counters.flops},
                 {"seconds", call_counters.seconds},

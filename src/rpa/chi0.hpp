@@ -18,7 +18,6 @@
 #include <map>
 #include <optional>
 
-#include "common/precision.hpp"
 #include "common/timer.hpp"
 #include "dft/ks_system.hpp"
 #include "solver/dynamic_block.hpp"
@@ -50,13 +49,6 @@ struct SternheimerOptions {
   /// Optional telemetry sink threaded down to the dynamic-block solver;
   /// the RPA drivers point it at their result's event log. Not owned.
   obs::EventLog* events = nullptr;
-  /// Precision policy for the Sternheimer solves. kMixed runs the Krylov
-  /// recurrences in FP32 through the operator's FP32 fused sweep, with
-  /// FP64 residual replacement on the restart boundary the resilience
-  /// ladder owns (solver/mixed.hpp). Contract is bitwise-or-tolerance:
-  /// kFp64 results are bitwise reproducible; kMixed agrees with kFp64 to
-  /// the driver tolerance (<= 1e-4 Ha/atom at the correlation energy).
-  common::Precision precision = common::Precision::kFp64;
 };
 
 /// Accumulated statistics over Sternheimer solves (feeds Table IV and the
@@ -64,8 +56,7 @@ struct SternheimerOptions {
 struct SternheimerStats {
   std::map<int, int> block_size_chunks;  ///< Table IV histogram
   long total_chunks = 0;
-  long matvec_columns = 0;      ///< FP64 single-vector applications
-  long matvec_columns_f32 = 0;  ///< FP32 inner-iteration applications (mixed)
+  long matvec_columns = 0;  ///< single-vector applications
   /// Estimated operator traffic/work over all solves (the per-column cost
   /// model of the bound ShiftedHamiltonianOp times matvec_columns), so
   /// run reports expose achieved arithmetic intensity per quadrature

@@ -11,7 +11,6 @@
 #include "io/checkpoint.hpp"
 #include "rpa/checkpoint_driver.hpp"
 #include "rpa/ssa.hpp"
-#include "solver/mixed.hpp"
 #include "solver/resilience.hpp"
 
 namespace rsrpa::rpa {
@@ -222,21 +221,6 @@ QuadratureRun run_quadrature(const dft::KsSystem& sys,
     // warning (if any); don't emit it twice.
     tol_warned = true;
   }
-
-  // One-time notice when the requested Sternheimer tolerance is below
-  // single-precision reach: the mixed inner solves clamp their tolerance
-  // at sqrt(eps_f32) (solver/mixed.hpp) and the FP64 residual
-  // replacement carries the remainder, so the request is still met — it
-  // just shifts work to the outer loop. Emitted only on a fresh run
-  // (k0 == 0): a restored event log already carries it.
-  if (k0 == 0 && opts.stern.precision == common::Precision::kMixed &&
-      opts.stern.tol < solver::f32_tol_floor())
-    result.events.emit(
-        obs::events::kPrecisionClamped,
-        "TOL below single-precision reach; FP32 inner tolerance clamped at "
-        "sqrt(eps_f32), FP64 residual replacement carries the remainder",
-        {{"requested_tol", opts.stern.tol},
-         {"clamped_tol", solver::f32_tol_floor()}});
 
   // Fault injection can be restricted to one quadrature point; the scope
   // guard owns the per-point toggling of the live operator's fault mode

@@ -8,7 +8,6 @@
 #include "rpa/erpa.hpp"
 #include "rpa/quadrature.hpp"
 #include "rpa/trace_est.hpp"
-#include "solver/mixed.hpp"
 
 namespace rsrpa::rpa {
 
@@ -43,18 +42,6 @@ SlqRpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
     k0 = detail::restore_slq_checkpoint(std::move(ck), opts, out, applies,
                                         rng);
   }
-
-  // Same one-time notice as compute_rpa_energy: a Sternheimer tolerance
-  // below single-precision reach is clamped in the FP32 inner solves and
-  // finished by FP64 residual replacement. Fresh runs only (k0 == 0).
-  if (k0 == 0 && opts.stern.precision == common::Precision::kMixed &&
-      opts.stern.tol < solver::f32_tol_floor())
-    out.events.emit(
-        obs::events::kPrecisionClamped,
-        "TOL below single-precision reach; FP32 inner tolerance clamped at "
-        "sqrt(eps_f32), FP64 residual replacement carries the remainder",
-        {{"requested_tol", opts.stern.tol},
-         {"clamped_tol", solver::f32_tol_floor()}});
 
   for (int k = k0; k < opts.ell; ++k) {
     check_run_control(opts.control);

@@ -36,14 +36,9 @@ BuiltSystem build_system(const SystemPreset& preset, bool run_scf) {
   out.h = std::make_shared<ham::Hamiltonian>(g, preset.fd_radius,
                                              std::move(crystal),
                                              ham::ModelParams{});
-  // Per-job apply tuning before any orbital is computed: the ground state
-  // and every downstream solve use one consistent schedule.
-  if (preset.fused_apply >= 0) out.h->set_fused_apply(preset.fused_apply != 0);
+  // The SIMD choice lands before any orbital is computed: the ground
+  // state and every downstream solve use one consistent schedule.
   if (preset.simd >= 0) out.h->set_simd(preset.simd != 0);
-  if (preset.tile_y > 0 || preset.tile_z > 0)
-    out.h->set_fused_tiles(
-        preset.tile_y > 0 ? preset.tile_y : grid::kDefaultFusedTileY,
-        preset.tile_z > 0 ? preset.tile_z : grid::kDefaultFusedTileZ);
   out.klap = std::make_shared<poisson::KroneckerLaplacian>(g, preset.fd_radius);
 
   Rng eig_rng(preset.seed + 1);
@@ -54,9 +49,8 @@ BuiltSystem build_system(const SystemPreset& preset, bool run_scf) {
     // Repackage with one extra state for the gap.
     out.ks = dft::make_ks_system(out.h, preset.n_occ(), sopts.eig, eig_rng);
   } else {
-    dft::ChefsiOptions copts;
-    copts.precision = preset.precision;
-    out.ks = dft::make_ks_system(out.h, preset.n_occ(), copts, eig_rng);
+    out.ks = dft::make_ks_system(out.h, preset.n_occ(), dft::ChefsiOptions{},
+                                 eig_rng);
   }
   return out;
 }

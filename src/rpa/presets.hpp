@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 
-#include "common/precision.hpp"
 #include "dft/ks_system.hpp"
 #include "poisson/kronecker.hpp"
 #include "rpa/erpa.hpp"
@@ -27,23 +26,12 @@ struct SystemPreset {
   double perturbation = 0.01;       ///< fraction of lattice constant
   bool vacancy = false;             ///< remove one atom (SS IV-A energy diff)
   std::uint64_t seed = 7;
-  /// Per-job fused-apply tuning, applied to the built Hamiltonian before
+  /// Vectorized stencil rows, applied to the built Hamiltonian before
   /// any orbital is computed (so the whole job, ground state included,
-  /// runs one schedule). -1/0 = keep the compiled defaults (fused, tiles
-  /// grid::kDefaultFusedTileY / kDefaultFusedTileZ); see grid/stencil.hpp.
-  /// This is what lets two jobs in one process select different apply
-  /// paths.
-  int fused_apply = -1;             ///< -1 default, 0 reference, 1 fused
-  std::size_t tile_y = 0;           ///< 0 = default
-  std::size_t tile_z = 0;           ///< 0 = default
-  /// Same per-job pattern for the vectorized stencil epilogue: -1 keeps
-  /// the compiled default (on when compiled in), 0 forces the scalar
-  /// rows, 1 requests the SIMD rows (no-op in scalar-only builds).
+  /// runs one schedule): -1 keeps the compiled default (on when compiled
+  /// in), 0 forces the scalar rows, 1 requests the SIMD rows (no-op in
+  /// scalar-only builds).
   int simd = -1;
-  /// Precision policy for the ground-state CheFSI filter workspace. The
-  /// Sternheimer precision is carried separately in SternheimerOptions;
-  /// app::parse_job sets both from the one PRECISION config key.
-  common::Precision precision = common::Precision::kFp64;
 
   [[nodiscard]] std::size_t n_atoms() const {
     return 8 * ncells - (vacancy ? 1 : 0);

@@ -8,7 +8,6 @@
 #include "la/blas.hpp"
 #include "la/cmul.hpp"
 #include "la/lu.hpp"
-#include "solver/mixed.hpp"
 
 namespace rsrpa::solver {
 
@@ -52,17 +51,14 @@ class StagnationProbe {
   int count_ = 0;
 };
 
-// The recurrence over a generic working scalar C (cplx for the FP64
-// path, cplxf for the mixed inner iterations). All control-flow scalars
-// — norms, tolerances, pivot ratios — stay double either way; only the
-// vector storage and the s x s algebra carry C. Every block and both
-// s x s factorizations are allocated once when the solve starts, so an
-// iteration allocates nothing: P is double-buffered, rho and rho_new
-// swap, and the LU objects re-factor into their own storage.
-template <typename C>
-SolveReport block_cocg_core(
-    const std::function<void(const la::Matrix<C>&, la::Matrix<C>&)>& a,
-    const la::Matrix<C>& b, la::Matrix<C>& y, const SolverOptions& opts) {
+}  // namespace
+
+// Every block and both s x s factorizations are allocated once when the
+// solve starts, so an iteration allocates nothing: P is double-buffered,
+// rho and rho_new swap, and the LU objects re-factor into their own
+// storage.
+SolveReport block_cocg(const BlockOpC& a, const la::Matrix<cplx>& b,
+                       la::Matrix<cplx>& y, const SolverOptions& opts) {
   const std::size_t n = b.rows(), s = b.cols();
   RSRPA_REQUIRE(y.rows() == n && y.cols() == s && s >= 1);
 
@@ -76,18 +72,18 @@ SolveReport block_cocg_core(
   }
 
   // W0 = B - A Y0.
-  la::Matrix<C> w(n, s);
+  la::Matrix<cplx> w(n, s);
   a(y, w);
   rep.matvec_columns += static_cast<long>(s);
   for (std::size_t j = 0; j < s; ++j)
     for (std::size_t i = 0; i < n; ++i) w(i, j) = b(i, j) - w(i, j);
 
-  la::Matrix<C> rho(s, s);
-  la::gemm_tn(C{1}, w, w, C{0}, rho);  // rho_0 = W^T W
+  la::Matrix<cplx> rho(s, s);
+  la::gemm_tn(cplx{1}, w, w, cplx{0}, rho);  // rho_0 = W^T W
 
-  la::Matrix<C> p(n, s), pnew(n, s), u(n, s), mu(s, s), alpha(s, s),
+  la::Matrix<cplx> p(n, s), pnew(n, s), u(n, s), mu(s, s), alpha(s, s),
       beta(s, s), rho_new(s, s);
-  la::Lu<C> lu_mu, lu_rho;
+  la::Lu<cplx> lu_mu, lu_rho;
   bool have_p = false;  // P_{-1} = 0, beta_{-1} = 0
 
   rep.relative_residual = la::norm_fro(w) / bnorm;
@@ -114,7 +110,7 @@ SolveReport block_cocg_core(
     // P_j = W_j + P_{j-1} beta_{j-1}.
     if (have_p) {
       pnew = w;
-      la::gemm_nn(C{1}, p, beta, C{1}, pnew);
+      la::gemm_nn(cplx{1}, p, beta, cplx{1}, pnew);
       std::swap(p, pnew);
     } else {
       p = w;
@@ -126,7 +122,7 @@ SolveReport block_cocg_core(
     rep.matvec_columns += static_cast<long>(s);
 
     // mu_j = U_j^T P_j (complex symmetric conjugacy matrix).
-    la::gemm_tn(C{1}, u, p, C{0}, mu);
+    la::gemm_tn(cplx{1}, u, p, cplx{0}, mu);
 
     // alpha_j = mu_j^{-1} rho_j. A tiny pivot ratio in mu is AMBIGUOUS:
     // it signals either a genuine conjugacy breakdown or benign exact
@@ -138,8 +134,8 @@ SolveReport block_cocg_core(
     lu_mu.solve_inplace(alpha);
 
     // Y_{j+1} = Y_j + P alpha;  W_{j+1} = W_j - U alpha.
-    la::gemm_nn(C{1}, p, alpha, C{1}, y);
-    la::gemm_nn(C{-1}, u, alpha, C{1}, w);
+    la::gemm_nn(cplx{1}, p, alpha, cplx{1}, y);
+    la::gemm_nn(cplx{-1}, u, alpha, cplx{1}, w);
 
     rep.iterations = it + 1;
     rep.relative_residual = la::norm_fro(w) / bnorm;
@@ -162,28 +158,13 @@ SolveReport block_cocg_core(
     stagnation.check(rep.relative_residual, "block COCG");
 
     // rho_{j+1} = W^T W;  beta_j = rho_j^{-1} rho_{j+1}.
-    la::gemm_tn(C{1}, w, w, C{0}, rho_new);
+    la::gemm_tn(cplx{1}, w, w, cplx{0}, rho_new);
     lu_rho.factor(rho);
     beta = rho_new;
     lu_rho.solve_inplace(beta);
     std::swap(rho, rho_new);
   }
   return rep;  // not converged
-}
-
-}  // namespace
-
-SolveReport block_cocg(const BlockOpC& a, const la::Matrix<cplx>& b,
-                       la::Matrix<cplx>& y, const SolverOptions& opts) {
-  if (opts.precision == common::Precision::kMixed && opts.mixed_apply)
-    return mixed_outer_solve(a, opts.mixed_apply, b, y, opts, &block_cocg_f32);
-  return block_cocg_core<cplx>(a, b, y, opts);
-}
-
-SolveReport block_cocg_f32(const BlockOpC32& a, const la::Matrix<la::cplxf>& b,
-                           la::Matrix<la::cplxf>& y,
-                           const SolverOptions& opts) {
-  return block_cocg_core<la::cplxf>(a, b, y, opts);
 }
 
 SolveReport cocg(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,

@@ -16,19 +16,9 @@
 namespace rsrpa::solver {
 
 /// Solve A Y = B with block size s = B.cols(). `y` supplies the initial
-/// guess on entry and the solution on exit. When opts.precision is
-/// kMixed and opts.mixed_apply is bound, dispatches to the FP32 inner /
-/// FP64 residual-replacement driver (solver/mixed.hpp) with
-/// block_cocg_f32 as the inner solver; otherwise (including kMixed with
-/// no FP32 operator) the solve runs entirely in FP64.
+/// guess on entry and the solution on exit.
 SolveReport block_cocg(const BlockOpC& a, const la::Matrix<cplx>& b,
                        la::Matrix<cplx>& y, const SolverOptions& opts = {});
-
-/// The same recurrence over FP32 storage — the inner solver of the mixed
-/// path, public for direct testing. Ignores opts.precision.
-SolveReport block_cocg_f32(const BlockOpC32& a, const la::Matrix<la::cplxf>& b,
-                           la::Matrix<la::cplxf>& y,
-                           const SolverOptions& opts = {});
 
 /// Non-block COCG (van der Vorst & Melissen), the s = 1 specialization
 /// kept as an independent implementation for cross-checks and the

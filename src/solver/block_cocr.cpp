@@ -6,19 +6,12 @@
 
 #include "la/blas.hpp"
 #include "la/lu.hpp"
-#include "solver/mixed.hpp"
 
 namespace rsrpa::solver {
 
-namespace {
-
-// The recurrence over a generic working scalar C (cplx for the FP64
-// path, cplxf for the mixed inner iterations). As in block_cocg.cpp,
-// all storage is allocated once per solve.
-template <typename C>
-SolveReport block_cocr_core(
-    const std::function<void(const la::Matrix<C>&, la::Matrix<C>&)>& a,
-    const la::Matrix<C>& b, la::Matrix<C>& y, const SolverOptions& opts) {
+// As in block_cocg.cpp, all storage is allocated once per solve.
+SolveReport block_cocr(const BlockOpC& a, const la::Matrix<cplx>& b,
+                       la::Matrix<cplx>& y, const SolverOptions& opts) {
   const std::size_t n = b.rows(), s = b.cols();
   RSRPA_REQUIRE(y.rows() == n && y.cols() == s && s >= 1);
 
@@ -32,7 +25,7 @@ SolveReport block_cocr_core(
   }
 
   // R = B - A Y0; AR = A R.
-  la::Matrix<C> r(n, s), ar(n, s);
+  la::Matrix<cplx> r(n, s), ar(n, s);
   a(y, r);
   rep.matvec_columns += static_cast<long>(s);
   for (std::size_t j = 0; j < s; ++j)
@@ -48,23 +41,23 @@ SolveReport block_cocr_core(
   a(r, ar);
   rep.matvec_columns += static_cast<long>(s);
 
-  la::Matrix<C> p = r, ap = ar, pnew(n, s), apnew(n, s);
-  la::Matrix<C> rho(s, s), rho_new(s, s), sigma(s, s), alpha(s, s),
+  la::Matrix<cplx> p = r, ap = ar, pnew(n, s), apnew(n, s);
+  la::Matrix<cplx> rho(s, s), rho_new(s, s), sigma(s, s), alpha(s, s),
       beta(s, s);
-  la::Lu<C> lu_sigma, lu_rho;
-  la::gemm_tn(C{1}, r, ar, C{0}, rho);  // rho = R^T A R
+  la::Lu<cplx> lu_sigma, lu_rho;
+  la::gemm_tn(cplx{1}, r, ar, cplx{0}, rho);  // rho = R^T A R
 
   double prev_relres = rep.relative_residual;
   for (int it = 0; it < opts.max_iter; ++it) {
     // sigma = (A P)^T (A P); alpha = sigma^{-1} rho.
-    la::gemm_tn(C{1}, ap, ap, C{0}, sigma);
+    la::gemm_tn(cplx{1}, ap, ap, cplx{0}, sigma);
     lu_sigma.factor(sigma);
     const bool suspect = lu_sigma.pivot_ratio() < opts.breakdown_tol;
     alpha = rho;
     lu_sigma.solve_inplace(alpha);
 
-    la::gemm_nn(C{1}, p, alpha, C{1}, y);
-    la::gemm_nn(C{-1}, ap, alpha, C{1}, r);
+    la::gemm_nn(cplx{1}, p, alpha, cplx{1}, y);
+    la::gemm_nn(cplx{-1}, ap, alpha, cplx{1}, r);
 
     rep.iterations = it + 1;
     rep.relative_residual = la::norm_fro(r) / bnorm;
@@ -82,7 +75,7 @@ SolveReport block_cocr_core(
 
     a(r, ar);
     rep.matvec_columns += static_cast<long>(s);
-    la::gemm_tn(C{1}, r, ar, C{0}, rho_new);
+    la::gemm_tn(cplx{1}, r, ar, cplx{0}, rho_new);
 
     lu_rho.factor(rho);
     beta = rho_new;
@@ -91,28 +84,13 @@ SolveReport block_cocr_core(
 
     // P = R + P beta; AP = AR + AP beta.
     pnew = r;
-    la::gemm_nn(C{1}, p, beta, C{1}, pnew);
+    la::gemm_nn(cplx{1}, p, beta, cplx{1}, pnew);
     std::swap(p, pnew);
     apnew = ar;
-    la::gemm_nn(C{1}, ap, beta, C{1}, apnew);
+    la::gemm_nn(cplx{1}, ap, beta, cplx{1}, apnew);
     std::swap(ap, apnew);
   }
   return rep;
-}
-
-}  // namespace
-
-SolveReport block_cocr(const BlockOpC& a, const la::Matrix<cplx>& b,
-                       la::Matrix<cplx>& y, const SolverOptions& opts) {
-  if (opts.precision == common::Precision::kMixed && opts.mixed_apply)
-    return mixed_outer_solve(a, opts.mixed_apply, b, y, opts, &block_cocr_f32);
-  return block_cocr_core<cplx>(a, b, y, opts);
-}
-
-SolveReport block_cocr_f32(const BlockOpC32& a, const la::Matrix<la::cplxf>& b,
-                           la::Matrix<la::cplxf>& y,
-                           const SolverOptions& opts) {
-  return block_cocr_core<la::cplxf>(a, b, y, opts);
 }
 
 }  // namespace rsrpa::solver

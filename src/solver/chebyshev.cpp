@@ -1,6 +1,5 @@
 #include "solver/chebyshev.hpp"
 
-#include <cfloat>
 #include <cmath>
 #include <utility>
 
@@ -51,58 +50,6 @@ void chebyshev_filter_fused(const FilterStepOpR& step, la::Matrix<double>& v,
     sigma = sigma2;
   }
   v = std::move(vcur);
-}
-
-bool chebyshev_filter_fused_f32(const FilterStepOpF& step, la::Matrix<double>& v,
-                                int degree, double a, double b, double a0) {
-  RSRPA_REQUIRE(degree >= 1 && b > a && a0 < a);
-  const double e = 0.5 * (b - a);
-  const double c = 0.5 * (b + a);
-  const double sigma1 = e / (a0 - c);
-
-  // Validate the whole coefficient schedule (computed in double, exactly
-  // as the FP64 filter computes it) before touching any data: every
-  // scalar a step will narrow to float must be zero or FP32-normal.
-  const auto f32_safe = [](double x) {
-    const double m = std::fabs(x);
-    return m == 0.0 || (m >= static_cast<double>(FLT_MIN) &&
-                        m <= static_cast<double>(FLT_MAX));
-  };
-  if (!f32_safe(sigma1 / e) || !f32_safe(-c * (sigma1 / e))) return false;
-  {
-    double sg = sigma1;
-    for (int k = 2; k <= degree; ++k) {
-      const double sigma2 = 1.0 / (2.0 / sigma1 - sg);
-      if (!f32_safe(2.0 * (sigma2 / e)) || !f32_safe(-2.0 * (sigma2 / e) * c) ||
-          !f32_safe(-(sg * sigma2)))
-        return false;
-      sg = sigma2;
-    }
-  }
-
-  const std::size_t n = v.rows(), s = v.cols();
-  const std::size_t grain = update_grain(n);
-  la::Matrix<float> vold(n, s), vcur(n, s), vnew(n, s);
-  sched::parallel_for(0, s, grain, [&](std::size_t j) {
-    for (std::size_t i = 0; i < n; ++i)
-      vold(i, j) = static_cast<float>(v(i, j));
-  });
-
-  double sigma = sigma1;
-  step(vold, vcur, sigma1 / e, -c * (sigma1 / e), nullptr, 0.0);
-  for (int k = 2; k <= degree; ++k) {
-    const double sigma2 = 1.0 / (2.0 / sigma1 - sigma);
-    step(vcur, vnew, 2.0 * (sigma2 / e), -2.0 * (sigma2 / e) * c, &vold,
-         -(sigma * sigma2));
-    std::swap(vold, vcur);
-    std::swap(vcur, vnew);
-    sigma = sigma2;
-  }
-  sched::parallel_for(0, s, grain, [&](std::size_t j) {
-    for (std::size_t i = 0; i < n; ++i)
-      v(i, j) = static_cast<double>(vcur(i, j));
-  });
-  return true;
 }
 
 void chebyshev_filter_op(const BlockOpR& a_op, la::Matrix<double>& v,

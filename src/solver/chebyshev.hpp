@@ -37,28 +37,6 @@ using FilterStepOpR = std::function<void(
 void chebyshev_filter_fused(const FilterStepOpR& step, la::Matrix<double>& v,
                             int degree, double a, double b, double a0);
 
-/// FP32 twin of FilterStepOpR: the filter workspace of the mixed-
-/// precision CheFSI schedule. The polynomial scalars stay double — the
-/// implementation narrows them inside its sweep.
-using FilterStepOpF =
-    std::function<void(const la::Matrix<float>& in, la::Matrix<float>& out,
-                       double c1, double c0, const la::Matrix<float>* extra,
-                       double c2)>;
-
-/// FP32-workspace variant of chebyshev_filter_fused: V is demoted once,
-/// the three rotating buffers are float, and the result is promoted back
-/// into `v`. The sigma recurrence itself is computed in double and the
-/// whole coefficient schedule is validated up front: if any step scalar
-/// would land outside the FP32 normal range (a narrow spectral window
-/// b - a drives the 1/e scalings toward overflow, and a0 ~ c drives
-/// sigma toward a denormal that flushes to zero), the filter REFUSES —
-/// returns false with `v` untouched — and the caller reruns that filter
-/// call through the FP64 path (emitting a precision_fallback event).
-[[nodiscard]] bool chebyshev_filter_fused_f32(const FilterStepOpF& step,
-                                              la::Matrix<double>& v,
-                                              int degree, double a, double b,
-                                              double a0);
-
 /// In-place V <- p_degree(A) V damping [a, b] for a plain block operator
 /// (adapter over chebyshev_filter_fused).
 void chebyshev_filter_op(const BlockOpR& a_op, la::Matrix<double>& v,

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "la/blas.hpp"
+#include "la/cmul.hpp"
 
 namespace rsrpa::solver {
 
@@ -51,8 +52,8 @@ SolveReport cocr(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
       throw NumericalBreakdown("COCR: (Ap, Ap) vanished");
     const cplx alpha = rho / sigma;
     for (std::size_t i = 0; i < n; ++i) {
-      y[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
+      y[i] += la::cmul(alpha, p[i]);
+      r[i] -= la::cmul(alpha, ap[i]);
     }
     rep.iterations = it + 1;
     rep.relative_residual = la::nrm2(std::span<const cplx>(r)) / bnorm;
@@ -70,8 +71,8 @@ SolveReport cocr(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
     const cplx beta = rho_new / rho;
     rho = rho_new;
     for (std::size_t i = 0; i < n; ++i) {
-      p[i] = r[i] + beta * p[i];
-      ap[i] = ar[i] + beta * ap[i];
+      p[i] = r[i] + la::cmul(beta, p[i]);
+      ap[i] = ar[i] + la::cmul(beta, ap[i]);
     }
   }
   return rep;

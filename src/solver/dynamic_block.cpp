@@ -22,7 +22,6 @@ ApplyCounters DynamicBlockReport::apply_counters() const {
   ApplyCounters c;
   c.applies = total_applies;
   c.columns = total_matvec_columns;
-  c.columns_f32 = total_matvec_columns_f32;
   c.bytes = total_matvec_bytes;
   c.flops = total_matvec_flops;
   c.seconds = total_apply_seconds;
@@ -59,17 +58,12 @@ ChunkOutcome solve_chunk(const BlockOpC& a, const la::Matrix<cplx>& b,
   out.y = y.slice_cols(pos, count);
 
   // Count this chunk's operator applications and the time inside them.
-  auto counted = [&rec](const auto& inner) {
-    return [&rec, &inner](const auto& in, auto& o) {
-      WallTimer t;
-      inner(in, o);
-      ++rec.applies;
-      rec.apply_seconds += t.seconds();
-    };
+  BlockOpC op = [&rec, &a](const la::Matrix<cplx>& in, la::Matrix<cplx>& o) {
+    WallTimer t;
+    a(in, o);
+    ++rec.applies;
+    rec.apply_seconds += t.seconds();
   };
-  BlockOpC op = counted(a);
-  SolverOptions sopts = opts.solver;
-  if (sopts.mixed_apply) sopts.mixed_apply = counted(opts.solver.mixed_apply);
   if (opts.fault.mode != FaultMode::kNone) {
     FaultInjectionOptions fopts = opts.fault;
     fopts.seed = Rng(opts.fault.seed).derive(pos).seed();
@@ -78,12 +72,11 @@ ChunkOutcome solve_chunk(const BlockOpC& a, const la::Matrix<cplx>& b,
 
   try {
     ResilientSolveResult r = resilient_block_solve(
-        op, bchunk, out.y, sopts, opts.resilience, pos,
+        op, bchunk, out.y, opts.solver, opts.resilience, pos,
         opts.events != nullptr ? &out.events : nullptr);
     rec.iterations = r.report.iterations;
     rec.converged = r.report.converged;
     rec.matvec_columns = r.report.matvec_columns;
-    rec.matvec_columns_f32 = r.report.matvec_columns_f32;
     rec.restarts = r.restarts;
     rec.deflations = r.deflations;
     rec.solver_swaps = r.solver_swaps;
@@ -109,15 +102,10 @@ void fold(ChunkOutcome& c, std::size_t pos, la::Matrix<cplx>& y,
   const ChunkRecord& rec = c.rec;
   y.set_cols(pos, c.y);
   rep.total_matvec_columns += rec.matvec_columns;
-  rep.total_matvec_columns_f32 += rec.matvec_columns_f32;
   rep.total_matvec_bytes += static_cast<double>(rec.matvec_columns) *
-                                opts.solver.matvec_bytes_per_column +
-                            static_cast<double>(rec.matvec_columns_f32) *
-                                opts.solver.matvec_bytes_per_column_f32;
+                            opts.solver.matvec_bytes_per_column;
   rep.total_matvec_flops += static_cast<double>(rec.matvec_columns) *
-                                opts.solver.matvec_flops_per_column +
-                            static_cast<double>(rec.matvec_columns_f32) *
-                                opts.solver.matvec_flops_per_column_f32;
+                            opts.solver.matvec_flops_per_column;
   rep.total_applies += rec.applies;
   rep.total_seconds += rec.seconds;
   rep.total_apply_seconds += rec.apply_seconds;

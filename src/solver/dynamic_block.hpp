@@ -36,9 +36,8 @@ struct ChunkRecord {
   int block_size = 0;
   int n_rhs = 0;        ///< columns actually solved (may be < block_size at the tail)
   int iterations = 0;
-  long matvec_columns = 0;  ///< FP64 single-column operator applications
-  long matvec_columns_f32 = 0;  ///< FP32 inner applications (mixed path)
-  long applies = 0;  ///< block operator applications, FP64 and FP32
+  long matvec_columns = 0;  ///< single-column operator applications
+  long applies = 0;  ///< block operator applications
   double apply_seconds = 0.0;  ///< wall time inside the operator
   double seconds = 0.0;
   bool converged = false;
@@ -61,10 +60,8 @@ struct ChunkRecord {
 struct DynamicBlockReport {
   std::vector<ChunkRecord> chunks;
   long total_matvec_columns = 0;
-  long total_matvec_columns_f32 = 0;
-  /// Estimated operator traffic/work over all chunks (each precision's
-  /// matvec columns times its SolverOptions per-column cost model; 0
-  /// when no model).
+  /// Estimated operator traffic/work over all chunks (matvec columns
+  /// times the SolverOptions per-column cost model; 0 when no model).
   double total_matvec_bytes = 0.0;
   double total_matvec_flops = 0.0;
   long total_applies = 0;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "la/blas.hpp"
+#include "la/cmul.hpp"
 
 namespace rsrpa::solver {
 
@@ -75,10 +76,11 @@ SolveReport gmres(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
         const cplx t = h(static_cast<std::size_t>(i), static_cast<std::size_t>(k));
         const cplx t1 = h(static_cast<std::size_t>(i) + 1, static_cast<std::size_t>(k));
         h(static_cast<std::size_t>(i), static_cast<std::size_t>(k)) =
-            std::conj(cs[static_cast<std::size_t>(i)]) * t +
-            std::conj(sn[static_cast<std::size_t>(i)]) * t1;
+            la::cmul_conj(cs[static_cast<std::size_t>(i)], t) +
+            la::cmul_conj(sn[static_cast<std::size_t>(i)], t1);
         h(static_cast<std::size_t>(i) + 1, static_cast<std::size_t>(k)) =
-            -sn[static_cast<std::size_t>(i)] * t + cs[static_cast<std::size_t>(i)] * t1;
+            la::cmul(-sn[static_cast<std::size_t>(i)], t) +
+            la::cmul(cs[static_cast<std::size_t>(i)], t1);
       }
       // New rotation annihilating h(k+1, k).
       const cplx hkk = h(static_cast<std::size_t>(k), static_cast<std::size_t>(k));
@@ -92,12 +94,14 @@ SolveReport gmres(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
         sn[static_cast<std::size_t>(k)] = hk1k / denom;
       }
       h(static_cast<std::size_t>(k), static_cast<std::size_t>(k)) =
-          std::conj(cs[static_cast<std::size_t>(k)]) * hkk +
-          std::conj(sn[static_cast<std::size_t>(k)]) * hk1k;
+          la::cmul_conj(cs[static_cast<std::size_t>(k)], hkk) +
+          la::cmul_conj(sn[static_cast<std::size_t>(k)], hk1k);
       h(static_cast<std::size_t>(k) + 1, static_cast<std::size_t>(k)) = 0.0;
       const cplx gk = g[static_cast<std::size_t>(k)];
-      g[static_cast<std::size_t>(k)] = std::conj(cs[static_cast<std::size_t>(k)]) * gk;
-      g[static_cast<std::size_t>(k) + 1] = -sn[static_cast<std::size_t>(k)] * gk;
+      g[static_cast<std::size_t>(k)] =
+          la::cmul_conj(cs[static_cast<std::size_t>(k)], gk);
+      g[static_cast<std::size_t>(k) + 1] =
+          la::cmul(-sn[static_cast<std::size_t>(k)], gk);
 
       rep.iterations = total_iters + 1;
       rep.relative_residual = std::abs(g[static_cast<std::size_t>(k) + 1]) / bnorm;
@@ -113,8 +117,9 @@ SolveReport gmres(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
     for (int i = k - 1; i >= 0; --i) {
       cplx sum = g[static_cast<std::size_t>(i)];
       for (int j = i + 1; j < k; ++j)
-        sum -= h(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) *
-               coeff[static_cast<std::size_t>(j)];
+        sum -= la::cmul(
+            h(static_cast<std::size_t>(i), static_cast<std::size_t>(j)),
+            coeff[static_cast<std::size_t>(j)]);
       coeff[static_cast<std::size_t>(i)] =
           sum / h(static_cast<std::size_t>(i), static_cast<std::size_t>(i));
     }

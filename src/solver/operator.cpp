@@ -4,8 +4,7 @@
 
 namespace rsrpa::solver {
 
-ApplyCostModel shifted_apply_cost(const ham::Hamiltonian& h, bool fused,
-                                  double elem_bytes) {
+ApplyCostModel shifted_apply_cost(const ham::Hamiltonian& h, bool fused) {
   // Sweep counting per complex column (paper SS III-C fast-memory model:
   // stencil neighbors are cache hits, every sweep reads its operands
   // once). n = grid points, nnz = total nonlocal support points.
@@ -23,28 +22,20 @@ ApplyCostModel shifted_apply_cost(const ham::Hamiltonian& h, bool fused,
   // (alpha scale, V_loc + shift multiply-add) and the same work spread
   // over the extra sweeps on the reference path; nonlocal gather+scatter
   // are real x complex multiply-adds on the support (8 flops/pt total).
-  // Byte counts are in real words of `elem_bytes` (8 for the FP64/cplx
-  // pipeline, 4 for the FP32 inner kernel): 5 words/pt fused (in 2,
-  // out 2, V_loc 1) vs 17 on the reference path, plus 8 words per
-  // nonlocal support point (gather+scatter of in/out, 2 x 4). Flops are
-  // precision-independent.
+  // Byte counts are in 8-byte real words: 5 words/pt fused (in 2, out 2,
+  // V_loc 1) vs 17 on the reference path, plus 8 words per nonlocal
+  // support point (gather+scatter of in/out, 2 x 4).
   const auto n = static_cast<double>(h.grid().size());
   const auto nnz = static_cast<double>(h.nonlocal().support_size());
   const double r = h.laplacian().radius();
   ApplyCostModel m;
-  m.bytes_per_column = elem_bytes * (fused ? 5.0 : 17.0) * n +
-                       elem_bytes * 8.0 * nnz;
+  m.bytes_per_column = 8.0 * (fused ? 5.0 : 17.0) * n + 8.0 * 8.0 * nnz;
   m.flops_per_column = 4.0 * (6.0 * r + 1.0) * n + 14.0 * n + 8.0 * nnz;
   return m;
 }
 
 void ShiftedHamiltonianOp::apply(const la::Matrix<cplx>& in,
                                  la::Matrix<cplx>& out) const {
-  h_->apply_shifted_block(in, out, lambda_, omega_);
-}
-
-void ShiftedHamiltonianOp::apply_f32(const la::Matrix<la::cplxf>& in,
-                                     la::Matrix<la::cplxf>& out) const {
   h_->apply_shifted_block(in, out, lambda_, omega_);
 }
 

@@ -10,7 +10,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/precision.hpp"
 #include "la/matrix.hpp"
 
 namespace rsrpa::ham {
@@ -23,12 +22,6 @@ using la::cplx;
 
 /// out = A * in for a block of complex vectors (same shapes).
 using BlockOpC = std::function<void(const la::Matrix<cplx>&, la::Matrix<cplx>&)>;
-
-/// FP32 twin of BlockOpC: the inner-iteration operator of the
-/// mixed-precision solvers (solver/mixed.hpp). Must apply the SAME
-/// coefficient operator as the FP64 op, rounded to single precision.
-using BlockOpC32 =
-    std::function<void(const la::Matrix<la::cplxf>&, la::Matrix<la::cplxf>&)>;
 
 struct SolverOptions {
   int max_iter = 1000;
@@ -47,30 +40,15 @@ struct SolverOptions {
   /// expose achieved arithmetic intensity; 0 = unknown.
   double matvec_bytes_per_column = 0.0;
   double matvec_flops_per_column = 0.0;
-  /// Precision policy. kMixed runs the Krylov recurrence in FP32 through
-  /// `mixed_apply` with FP64 residual replacement on the outer loop
-  /// (solver/mixed.hpp); requires mixed_apply to be set, otherwise the
-  /// solve stays FP64. The contract per driver is bitwise-or-tolerance:
-  /// FP64 results are bitwise reproducible, mixed results agree with
-  /// FP64 to the driver's tolerance (<= 1e-4 Ha/atom at the energy).
-  common::Precision precision = common::Precision::kFp64;
-  /// FP32 application of the same coefficient operator (inner kernel of
-  /// the mixed path). Unset = mixed unavailable.
-  BlockOpC32 mixed_apply;
-  /// Cost model of one FP32 column application (4-byte words; see
-  /// shifted_apply_cost elem_bytes). 0 = unknown.
-  double matvec_bytes_per_column_f32 = 0.0;
-  double matvec_flops_per_column_f32 = 0.0;
 };
 
 struct SolveReport {
   int iterations = 0;
   double relative_residual = 0.0;
   bool converged = false;
-  long matvec_columns = 0;  ///< # of FP64 single-vector operator applications
-  long matvec_columns_f32 = 0;  ///< # of FP32 inner-iteration applications
-  /// Estimated operator traffic/work: each precision's column count times
-  /// its per-column cost model in SolverOptions (0 when not provided).
+  long matvec_columns = 0;  ///< # of single-vector operator applications
+  /// Estimated operator traffic/work: the column count times the
+  /// per-column cost model in SolverOptions (0 when not provided).
   double matvec_bytes = 0.0;
   double matvec_flops = 0.0;
   std::vector<double> history;  ///< per-iteration relres if recorded
@@ -84,16 +62,10 @@ class MatvecCostScope {
   MatvecCostScope(SolveReport& rep, const SolverOptions& opts)
       : rep_(rep), opts_(opts) {}
   ~MatvecCostScope() {
-    rep_.matvec_bytes =
-        static_cast<double>(rep_.matvec_columns) *
-            opts_.matvec_bytes_per_column +
-        static_cast<double>(rep_.matvec_columns_f32) *
-            opts_.matvec_bytes_per_column_f32;
-    rep_.matvec_flops =
-        static_cast<double>(rep_.matvec_columns) *
-            opts_.matvec_flops_per_column +
-        static_cast<double>(rep_.matvec_columns_f32) *
-            opts_.matvec_flops_per_column_f32;
+    rep_.matvec_bytes = static_cast<double>(rep_.matvec_columns) *
+                        opts_.matvec_bytes_per_column;
+    rep_.matvec_flops = static_cast<double>(rep_.matvec_columns) *
+                        opts_.matvec_flops_per_column;
   }
   MatvecCostScope(const MatvecCostScope&) = delete;
   MatvecCostScope& operator=(const MatvecCostScope&) = delete;
@@ -107,8 +79,7 @@ class MatvecCostScope {
 /// payload of the apply_counters event (DynamicBlockReport::apply_counters).
 struct ApplyCounters {
   long applies = 0;    ///< block applications
-  long columns = 0;    ///< FP64 single-vector applications
-  long columns_f32 = 0;  ///< FP32 inner-iteration applications
+  long columns = 0;    ///< single-vector applications
   double bytes = 0.0;  ///< estimated bytes moved (cost model x columns)
   double flops = 0.0;  ///< estimated flops (cost model x columns)
   /// Wall time inside the operator, summed over solves (work, not wall
@@ -118,7 +89,6 @@ struct ApplyCounters {
   void merge(const ApplyCounters& o) {
     applies += o.applies;
     columns += o.columns;
-    columns_f32 += o.columns_f32;
     bytes += o.bytes;
     flops += o.flops;
     seconds += o.seconds;
@@ -138,13 +108,8 @@ struct ApplyCostModel {
   double flops_per_column = 0.0;
 };
 
-/// `elem_bytes` is the REAL word size of the sweep (8 for the FP64/cplx
-/// pipeline, 4 for the FP32 inner kernel) — every stream in the model
-/// (vectors, V_loc copy, nonlocal values) scales with it, so FP32
-/// workspaces report half the bytes per column at identical flop counts.
 [[nodiscard]] ApplyCostModel shifted_apply_cost(const ham::Hamiltonian& h,
-                                                bool fused,
-                                                double elem_bytes = 8.0);
+                                                bool fused);
 
 /// The Sternheimer coefficient operator A_{j,k} = H - lambda_j I
 /// + i omega_k I as a first-class block operator: chi0 binds this (rather
@@ -161,11 +126,6 @@ class ShiftedHamiltonianOp {
   void operator()(const la::Matrix<cplx>& in, la::Matrix<cplx>& out) const {
     apply(in, out);
   }
-
-  /// FP32 application of the same shifted operator (the mixed-precision
-  /// inner kernel).
-  void apply_f32(const la::Matrix<la::cplxf>& in,
-                 la::Matrix<la::cplxf>& out) const;
 
   [[nodiscard]] double lambda() const { return lambda_; }
   [[nodiscard]] double omega() const { return omega_; }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "la/blas.hpp"
+#include "la/cmul.hpp"
 
 namespace rsrpa::solver {
 
@@ -58,7 +59,7 @@ SolveReport qmr_sym(const BlockOpC& a, std::span<const cplx> b,
 
   for (int it = 0; it < opts.max_iter; ++it) {
     if (have_p) {
-      for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * p[i];
+      for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + la::cmul(beta, p[i]);
     } else {
       p = r;
       have_p = true;
@@ -69,8 +70,8 @@ SolveReport qmr_sym(const BlockOpC& a, std::span<const cplx> b,
       throw NumericalBreakdown("QMR_SYM: conjugacy scalar vanished");
     const cplx alpha = rho / mu;
     for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * p[i];
-      r[i] -= alpha * u[i];
+      x[i] += la::cmul(alpha, p[i]);
+      r[i] -= la::cmul(alpha, u[i]);
     }
 
     // Minimal-residual smoothing (Schoenauer/Weiss — equivalent to QMR up
@@ -81,13 +82,13 @@ SolveReport qmr_sym(const BlockOpC& a, std::span<const cplx> b,
     double den = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const cplx d = r[i] - rs[i];
-      num -= std::conj(d) * rs[i];
+      num -= la::cmul_conj(d, rs[i]);
       den += std::norm(d);
     }
     const cplx gamma = den > 0.0 ? num / den : cplx{};
     for (std::size_t i = 0; i < n; ++i) {
-      y[i] += gamma * (x[i] - y[i]);
-      rs[i] += gamma * (r[i] - rs[i]);
+      y[i] += la::cmul(gamma, x[i] - y[i]);
+      rs[i] += la::cmul(gamma, r[i] - rs[i]);
     }
 
     tau = la::nrm2(std::span<const cplx>(rs));

@@ -129,14 +129,8 @@ enum class SwapSolver { kBlockCocr = 0, kQmrSym = 1, kGmres = 2 };
 SolveReport run_swap(LadderCtx& ctx, SwapSolver which,
                      const la::Matrix<cplx>& b, la::Matrix<cplx>& y) {
   switch (which) {
-    case SwapSolver::kBlockCocr: {
-      // Deep in recovery, robustness beats speed: if the mixed path was
-      // active it may well be what broke down, so the swap runs COCR at
-      // full FP64 rather than re-entering the FP32 inner loop.
-      SolverOptions fp64_opts = *ctx.sopts;
-      fp64_opts.precision = common::Precision::kFp64;
-      return block_cocr(*ctx.op, b, y, fp64_opts);
-    }
+    case SwapSolver::kBlockCocr:
+      return block_cocr(*ctx.op, b, y, *ctx.sopts);
     case SwapSolver::kQmrSym:
       return qmr_sym(*ctx.op, b.col(0), y.col(0), *ctx.sopts);
     case SwapSolver::kGmres: {
@@ -274,25 +268,13 @@ ResilientSolveResult resilient_block_solve(const BlockOpC& a,
 
   // Authoritative matvec accounting: the sub-solvers' own counters are
   // lost when they throw, so count columns at the operator boundary —
-  // failed attempts cost real work and must show up in the report. The
-  // FP32 inner operator of the mixed path gets the same treatment.
+  // failed attempts cost real work and must show up in the report.
   long matvecs = 0;
   BlockOpC counting = [&a, &matvecs](const la::Matrix<cplx>& in,
                                      la::Matrix<cplx>& o) {
     a(in, o);
     matvecs += static_cast<long>(in.cols());
   };
-  long matvecs_f32 = 0;
-  SolverOptions sopts_counting = sopts;
-  if (sopts.mixed_apply) {
-    const BlockOpC32 inner32 = sopts.mixed_apply;
-    sopts_counting.mixed_apply = [inner32, &matvecs_f32](
-                                     const la::Matrix<la::cplxf>& in,
-                                     la::Matrix<la::cplxf>& o) {
-      inner32(in, o);
-      matvecs_f32 += static_cast<long>(in.cols());
-    };
-  }
 
   if (!opts.enabled) {
     SolveReport r = block_cocg(a, b, y, sopts);
@@ -302,19 +284,16 @@ ResilientSolveResult resilient_block_solve(const BlockOpC& a,
 
   LadderCtx ctx;
   ctx.op = &counting;
-  ctx.sopts = &sopts_counting;
+  ctx.sopts = &sopts;
   ctx.ropts = &opts;
   ctx.events = events;
   ctx.out = &out;
   ladder_solve(ctx, b, y, col0);
   out.report.matvec_columns = matvecs;
-  out.report.matvec_columns_f32 = matvecs_f32;
   out.report.matvec_bytes =
-      static_cast<double>(matvecs) * sopts.matvec_bytes_per_column +
-      static_cast<double>(matvecs_f32) * sopts.matvec_bytes_per_column_f32;
+      static_cast<double>(matvecs) * sopts.matvec_bytes_per_column;
   out.report.matvec_flops =
-      static_cast<double>(matvecs) * sopts.matvec_flops_per_column +
-      static_cast<double>(matvecs_f32) * sopts.matvec_flops_per_column_f32;
+      static_cast<double>(matvecs) * sopts.matvec_flops_per_column;
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "la/blas.hpp"
+#include "la/cmul.hpp"
 
 namespace rsrpa::solver {
 
@@ -49,7 +50,7 @@ SolveReport cocg_store_basis(const BlockOpC& a, std::span<const cplx> b,
   int k = 0;
   for (int it = 0; it < opts.max_iter; ++it) {
     if (have_p) {
-      for (std::size_t i = 0; i < n; ++i) p[i] = w[i] + beta * p[i];
+      for (std::size_t i = 0; i < n; ++i) p[i] = w[i] + la::cmul(beta, p[i]);
     } else {
       p.assign(w.begin(), w.end());
       have_p = true;
@@ -65,8 +66,8 @@ SolveReport cocg_store_basis(const BlockOpC& a, std::span<const cplx> b,
 
     const cplx alpha = rho / mu;
     for (std::size_t i = 0; i < n; ++i) {
-      y[i] += alpha * p[i];
-      w[i] -= alpha * u[i];
+      y[i] += la::cmul(alpha, p[i]);
+      w[i] -= la::cmul(alpha, u[i]);
     }
     rep.iterations = it + 1;
     rep.relative_residual = la::nrm2(std::span<const cplx>(w)) / bnorm;

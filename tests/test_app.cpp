@@ -122,19 +122,16 @@ TEST(SvcJob, ParseDefaultsMatchPresetRun) {
   EXPECT_EQ(spec.options.cheb_degree, ref.cheb_degree);
   EXPECT_EQ(spec.options.max_filter_iter, ref.max_filter_iter);
   EXPECT_EQ(spec.method, app::Method::kSternheimer);
-  EXPECT_EQ(spec.preset.fused_apply, -1);
+  EXPECT_EQ(spec.preset.simd, -1);
   EXPECT_TRUE(spec.checkpoint.empty());
   EXPECT_FALSE(spec.resume);
 }
 
 TEST(SvcJob, ParseServiceKeys) {
   const app::JobSpec spec = app::parse_job(Config::parse(
-      "FUSED_APPLY: 0\nTILE_Y: 8\nTILE_Z: 4\n"
-      "DYNAMIC_BLOCK: 0\nBLOCK_SIZE: 4\nN_OMEGA: 2\nSEED: 11\n"
+      "SIMD: 0\nDYNAMIC_BLOCK: 0\nBLOCK_SIZE: 4\nN_OMEGA: 2\nSEED: 11\n"
       "CHECKPOINT: run.ckpt\nRESUME: 1\n"));
-  EXPECT_EQ(spec.preset.fused_apply, 0);
-  EXPECT_EQ(spec.preset.tile_y, 8u);
-  EXPECT_EQ(spec.preset.tile_z, 4u);
+  EXPECT_EQ(spec.preset.simd, 0);
   EXPECT_FALSE(spec.options.stern.dynamic_block);
   EXPECT_EQ(spec.options.stern.fixed_block, 4);
   EXPECT_EQ(spec.options.ell, 2);
@@ -145,6 +142,28 @@ TEST(SvcJob, ParseServiceKeys) {
 
 TEST(SvcJob, ParseRejectsBadFaultMode) {
   EXPECT_THROW(app::parse_job(Config::parse("FAULT_MODE: bogus\n")), Error);
+}
+
+// Every solve is FP64. An old `PRECISION: mixed` input must fail while
+// parsing, not run quietly at fp64; `fp64` is accepted and changes
+// nothing.
+TEST(SvcJob, ParseRejectsPrecisionOtherThanFp64) {
+  try {
+    (void)app::parse_job(Config::parse("PRECISION: mixed\n"));
+    FAIL() << "PRECISION: mixed was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("mixed precision was removed"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(app::parse_job(Config::parse("PRECISION: fp16\n")), Error);
+
+  const app::JobSpec fp64 =
+      app::parse_job(Config::parse("PRECISION: fp64\nSIMD: 0\n"));
+  const app::JobSpec plain = app::parse_job(Config::parse("SIMD: 0\n"));
+  EXPECT_EQ(fp64.preset.simd, 0);
+  EXPECT_EQ(fp64.options.stern.tol, plain.options.stern.tol);
+  EXPECT_EQ(fp64.options.n_eig, plain.options.n_eig);
 }
 
 // ---------------------------------------------------------------------
@@ -218,9 +237,9 @@ TEST_F(SvcTest, CancelledRunResumesBitwise) {
 
 TEST_F(SvcTest, ConcurrentRunsMatchStandaloneBitwise) {
   const std::string cfg_a = tiny_rpa(7, 3);
-  // A genuinely different run: different crystal seed AND the reference
-  // apply path, sharing the pool with A's fused-path run.
-  const std::string cfg_b = tiny_rpa(11, 3) + "FUSED_APPLY: 0\n";
+  // A genuinely different run (different crystal seed) sharing the pool
+  // with A's run.
+  const std::string cfg_b = tiny_rpa(11, 3);
   const rpa::RpaResult expected_a = run_standalone(cfg_a);
   const rpa::RpaResult expected_b = run_standalone(cfg_b);
 

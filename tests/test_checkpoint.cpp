@@ -17,6 +17,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -253,6 +254,51 @@ TEST_F(CheckpointTest, TruncatedAndCorruptFilesAreRefused) {
 
   // Fingerprint mismatch.
   EXPECT_THROW(io::load_run_checkpoint(path("c.ckpt"), 999), Error);
+}
+
+// A checkpoint written by another format version is refused with a typed
+// error naming the version, never loaded under the current field
+// meanings. Version 1 checkpoints carried a precision policy in their
+// fingerprint.
+TEST_F(CheckpointTest, OtherFormatVersionIsRefused) {
+  io::RunCheckpoint ck;
+  ck.fingerprint = 1;
+  ck.completed_points = 1;
+  ck.ell = 2;
+  ck.rng_state = Rng(1).save_state();
+  ck.per_omega.emplace_back();
+  ck.v = la::Matrix<double>(5, 2);
+  io::save_run_checkpoint(path("v.ckpt"), ck);
+  ASSERT_NO_THROW(io::load_run_checkpoint(path("v.ckpt")));
+  ASSERT_EQ(io::kRunCheckpointVersion, 2u);
+
+  // Rewrite the payload's version digit in place (same length, so the
+  // length prefix and trailer stay valid) and expect the version gate.
+  std::string bytes;
+  {
+    std::ifstream in(path("v.ckpt"), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t key = bytes.find("\"version\"");
+  ASSERT_NE(key, std::string::npos);
+  const std::size_t digit = bytes.find('2', key);
+  ASSERT_NE(digit, std::string::npos);
+  for (const char old_version : {'1', '3'}) {
+    bytes[digit] = old_version;
+    {
+      std::ofstream out(path("old.ckpt"), std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    try {
+      (void)io::load_run_checkpoint(path("old.ckpt"));
+      FAIL() << "version " << old_version << " checkpoint was loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::string("unsupported format version ") + old_version),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

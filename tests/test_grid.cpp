@@ -270,5 +270,86 @@ TEST(SvcStencil, PerInstanceTilesAreBitwiseNeutral) {
   EXPECT_EQ(ya, yb);  // tiling is a traversal order change only
 }
 
+// SIMD and scalar stencil rows are BITWISE identical — exact equality,
+// no ulp budget. Runs the full fused term combination so the epilogue
+// (not just the raw Laplacian sum) is covered.
+
+std::vector<double> random_field(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  rng.fill_uniform(v);
+  return v;
+}
+
+template <typename T>
+std::vector<T> random_input(std::size_t n, std::uint64_t seed);
+
+template <>
+std::vector<double> random_input<double>(std::size_t n, std::uint64_t seed) {
+  return random_field(n, seed);
+}
+
+template <>
+std::vector<std::complex<double>> random_input<std::complex<double>>(
+    std::size_t n, std::uint64_t seed) {
+  const std::vector<double> re = random_field(n, seed);
+  const std::vector<double> im = random_field(n, seed + 1);
+  std::vector<std::complex<double>> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = {re[i], im[i]};
+  return v;
+}
+
+template <typename T>
+void expect_simd_bitwise(const Grid3D& g, int radius, std::uint64_t seed) {
+  StencilLaplacian lap(g, radius);
+  const std::size_t n = g.size();
+  const std::vector<T> in = random_input<T>(n, seed);
+  const std::vector<T> extra = random_input<T>(n, seed + 7);
+  const std::vector<double> vdiag = random_field(n, seed + 11);
+  FusedTerms<T> t;
+  t.alpha = -0.5;
+  t.vdiag = vdiag.data();
+  t.beta = 1.5;
+  t.shift = T(-0.3);
+  t.extra = extra.data();
+  t.eta = T(0.25);
+
+  std::vector<T> scalar(n), simd(n);
+  lap.set_simd(false);
+  lap.apply_fused<T>(in, scalar, t);
+  lap.set_simd(true);
+  lap.apply_fused<T>(in, simd, t);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(scalar[i], simd[i]) << "r=" << radius << " i=" << i;
+}
+
+TEST(SimdStencil, BitwiseMatchesScalarOnNonCubicGrids) {
+  for (int r : {2, 4, 6}) {
+    const Grid3D g(14, 15, 13, 5.0, 5.5, 4.5);
+    expect_simd_bitwise<double>(g, r, 100u + r);
+    expect_simd_bitwise<std::complex<double>>(g, r, 200u + r);
+  }
+}
+
+TEST(SimdStencil, BitwiseMatchesScalarWhenAxisShorterThanTwoRadii) {
+  // nx = 5 < 2r: every x row is a wrapped boundary row, so this pins the
+  // wrapped-row SIMD kernel (and its scalar x-boundary segments), not
+  // just the interior fast path.
+  for (int r : {2, 4, 6}) {
+    const Grid3D g(5, 12, 9, 2.0, 5.0, 4.0);
+    expect_simd_bitwise<double>(g, r, 400u + r);
+    expect_simd_bitwise<std::complex<double>>(g, r, 500u + r);
+  }
+}
+
+TEST(SimdStencil, RuntimeFallbackIsAlwaysAvailable) {
+  const Grid3D g(10, 10, 10, 4.0, 4.0, 4.0);
+  StencilLaplacian lap(g, 4);
+  lap.set_simd(false);
+  EXPECT_FALSE(lap.simd());
+  lap.set_simd(true);
+  EXPECT_EQ(lap.simd(), StencilLaplacian::simd_compiled());
+}
+
 }  // namespace
 }  // namespace rsrpa::grid

@@ -8,6 +8,8 @@
 #include "common/rng.hpp"
 #include "hamiltonian/hamiltonian.hpp"
 #include "la/blas.hpp"
+#include "solver/dynamic_block.hpp"
+#include "solver/operator.hpp"
 
 namespace rsrpa::ham {
 namespace {
@@ -203,6 +205,56 @@ TEST(Hamiltonian, SetLocalPotentialRefreshesBounds) {
   // With a constant potential the local contribution to both bounds is 5.
   EXPECT_DOUBLE_EQ(h.lower_bound(), 5.0);
   EXPECT_GT(h.upper_bound(), 5.0);
+}
+
+// The shifted-apply cost model in 8-byte words, and an operator-counted
+// solve: the report counts every block application and bills each column
+// at the model's bytes and flops.
+TEST(ApplyCostModel, PinsFp64ByteCountsAndCountsApplies) {
+  Rng crystal_rng(0);
+  const Hamiltonian h(Grid3D::cubic(12, kSiLatticeConstant), 4,
+                      make_silicon_chain(1, 0.0, crystal_rng), ModelParams{});
+  const double n = static_cast<double>(h.grid().size());
+  const double nnz = static_cast<double>(h.nonlocal().support_size());
+
+  const solver::ApplyCostModel fused = solver::shifted_apply_cost(h, true);
+  const solver::ApplyCostModel ref = solver::shifted_apply_cost(h, false);
+  EXPECT_DOUBLE_EQ(fused.bytes_per_column, 40.0 * n + 64.0 * nnz);
+  EXPECT_DOUBLE_EQ(ref.bytes_per_column, 136.0 * n + 64.0 * nnz);
+  EXPECT_DOUBLE_EQ(fused.flops_per_column, ref.flops_per_column);
+
+  const solver::ShiftedHamiltonianOp op(h, 0.1, 0.8);
+  const std::size_t ng = h.grid().size();
+  Rng rng(3);
+  la::Matrix<cplx> b(ng, 2), y(ng, 2);
+  for (std::size_t j = 0; j < 2; ++j)
+    for (std::size_t i = 0; i < ng; ++i)
+      b(i, j) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  long applies = 0, columns = 0;  // one chunk: never counted concurrently
+  solver::DynamicBlockOptions dopts;
+  dopts.enabled = false;
+  dopts.fixed_block = 2;
+  dopts.solver.tol = 1e-6;
+  dopts.solver.matvec_bytes_per_column = fused.bytes_per_column;
+  dopts.solver.matvec_flops_per_column = fused.flops_per_column;
+  const solver::DynamicBlockReport rep = solver::solve_dynamic_block(
+      [&](const la::Matrix<cplx>& in, la::Matrix<cplx>& o) {
+        ++applies;
+        columns += static_cast<long>(in.cols());
+        op.apply(in, o);
+      },
+      b, y, dopts);
+  EXPECT_TRUE(rep.all_converged);
+  const solver::ApplyCounters c = rep.apply_counters();
+  EXPECT_GT(applies, 0);
+  EXPECT_EQ(c.applies, applies);
+  EXPECT_EQ(c.columns, columns);
+  ASSERT_EQ(rep.chunks.size(), 1u);
+  EXPECT_EQ(rep.chunks[0].applies, applies);
+  EXPECT_DOUBLE_EQ(c.bytes,
+                   static_cast<double>(columns) * fused.bytes_per_column);
+  EXPECT_DOUBLE_EQ(c.flops,
+                   static_cast<double>(columns) * fused.flops_per_column);
 }
 
 }  // namespace

@@ -679,10 +679,6 @@ TEST(ComplexKernels, DoubleMatchNaiveLoopsBitwise) {
   check_complex_kernels_bitwise<cplx>();
 }
 
-TEST(ComplexKernels, FloatMatchNaiveLoopsBitwise) {
-  check_complex_kernels_bitwise<cplxf>();
-}
-
 TEST(ComplexKernels, PlainProductsKeepNonFiniteOperandsNonFinite) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -778,7 +774,6 @@ void check_lu_refactor_bitwise() {
 
 TEST(Lu, RefactorIntoUsedStorageMatchesTheOldPathBitwise) {
   check_lu_refactor_bitwise<cplx>();
-  check_lu_refactor_bitwise<cplxf>();
 }
 
 // Property-style sweep: LU and Cholesky solve quality across sizes.

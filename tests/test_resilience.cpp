@@ -580,7 +580,6 @@ void expect_same_records(const DynamicBlockReport& x,
     EXPECT_EQ(p.n_rhs, q.n_rhs);
     EXPECT_EQ(p.iterations, q.iterations);
     EXPECT_EQ(p.matvec_columns, q.matvec_columns);
-    EXPECT_EQ(p.matvec_columns_f32, q.matvec_columns_f32);
     EXPECT_EQ(p.applies, q.applies);
     EXPECT_EQ(p.converged, q.converged);
     EXPECT_EQ(p.fallback, q.fallback);
